@@ -275,9 +275,9 @@ std::size_t Json::size() const {
 std::int64_t Json::as_int() const { return std::get<std::int64_t>(value_); }
 
 std::uint64_t Json::as_uint() const {
-  const std::int64_t i = std::get<std::int64_t>(value_);
-  if (i < 0) throw std::runtime_error("Json: negative value for uint field");
-  return static_cast<std::uint64_t>(i);
+  // Inverse of Json(std::uint64_t): values >= 2^63 are stored (and
+  // dumped) as the negative int64 with the same bit pattern.
+  return static_cast<std::uint64_t>(std::get<std::int64_t>(value_));
 }
 
 double Json::as_double() const {

@@ -63,6 +63,9 @@ class Json {
 
   [[nodiscard]] bool as_bool() const { return std::get<bool>(value_); }
   [[nodiscard]] std::int64_t as_int() const;
+  /// Exactly the value a Json(std::uint64_t) was built from. Integers
+  /// are stored as int64, so values >= 2^63 dump as negative numbers;
+  /// as_uint reads them back through the same bit pattern.
   [[nodiscard]] std::uint64_t as_uint() const;
   /// Numeric value as double (works for both int and double nodes).
   [[nodiscard]] double as_double() const;

@@ -33,6 +33,9 @@ void PathFinder::begin_query(const G& g) {
   }
   if (++stamp_ == 0) {  // stamp wrap: old marks could alias a new query
     std::fill(mark_.begin(), mark_.end(), 0);
+    for (BfsSide* side : {&fwd_, &bwd_}) {
+      std::fill(side->reach.begin(), side->reach.end(), BfsSide::Reach{});
+    }
     stamp_ = 1;
   }
   queue_.clear();
@@ -62,26 +65,109 @@ Path PathFinder::build_path(const G& g, NodeId s, NodeId t) const {
 }
 
 template <class G>
+void PathFinder::bfs_seed(const G& g, BfsSide& side, NodeId root) {
+  if (side.reach.size() < g.node_count()) side.reach.resize(g.node_count());
+  side.reach[root] = {stamp_, 0};
+  side.nodes.clear();
+  side.nodes.push_back(root);
+  side.frontier = 0;
+  side.frontier_degree = g.out_arcs(root).size();
+  side.depth = 0;
+}
+
+template <class G>
+bool PathFinder::bfs_expand(const G& g, BfsSide& side, const BfsSide& other,
+                            std::span<const char> blocked_edges) {
+  const std::size_t end = side.nodes.size();
+  const std::uint32_t next = side.depth + 1;
+  std::size_t degree = 0;
+  bool met = false;
+  for (std::size_t i = side.frontier; i < end; ++i) {
+    for (const ArcId a : g.out_arcs(side.nodes[i])) {
+      if (edge_blocked(blocked_edges, edge_of(a))) continue;
+      const NodeId w = g.head(a);
+      if (side.reach[w].stamp == stamp_) continue;
+      side.reach[w] = {stamp_, next};
+      side.nodes.push_back(w);
+      degree += g.out_arcs(w).size();
+      if (other.reach[w].stamp == stamp_) {
+        mark_[w] = stamp_;
+        queue_.push_back(w);
+        met = true;
+      }
+    }
+  }
+  side.frontier = end;
+  side.frontier_degree = degree;
+  side.depth = next;
+  return met;
+}
+
+template <class G>
 std::optional<Path> PathFinder::bfs_shortest(
     const G& g, NodeId s, NodeId t, std::span<const char> blocked_edges) {
   if (s >= g.node_count() || t >= g.node_count()) return std::nullopt;
   if (s == t) return Path{s, {}};
   begin_query(g);
-  queue_.push_back(s);
-  mark_[s] = stamp_;
+  bfs_seed(g, fwd_, s);
+  bfs_seed(g, bwd_, t);
+  // Balanced bidirectional BFS: grow the side whose last layer has the
+  // smaller degree sum, one full layer at a time. No node is reached by
+  // both sides until the first meeting layer, so every meeting node lies
+  // at forward distance fwd_.depth and backward distance bwd_.depth, and
+  // together they are exactly the nodes of the shortest paths at that
+  // forward distance.
+  for (bool met = false; !met;) {
+    if (fwd_.frontier == fwd_.nodes.size() ||
+        bwd_.frontier == bwd_.nodes.size()) {
+      return std::nullopt;  // one side ran out: t unreachable
+    }
+    met = fwd_.frontier_degree <= bwd_.frontier_degree
+              ? bfs_expand(g, fwd_, bwd_, blocked_edges)
+              : bfs_expand(g, bwd_, fwd_, blocked_edges);
+  }
+  // Sweep back from the meeting nodes (queued by bfs_expand) through the
+  // forward layers: mark_ ends up set on every forward-side node that
+  // lies on some shortest s->t path.
   for (std::size_t head = 0; head < queue_.size(); ++head) {
-    const NodeId u = queue_[head];
-    for (const ArcId a : g.out_arcs(u)) {
+    const NodeId v = queue_[head];
+    const std::uint32_t dv = fwd_.reach[v].dist;
+    for (const ArcId a : g.out_arcs(v)) {
       if (edge_blocked(blocked_edges, edge_of(a))) continue;
-      const NodeId w = g.head(a);
-      if (mark_[w] == stamp_) continue;
-      mark_[w] = stamp_;
-      parent_[w] = a;
-      if (w == t) return build_path(g, s, t);
-      queue_.push_back(w);
+      const NodeId u = g.head(a);
+      if (mark_[u] == stamp_) continue;
+      const BfsSide::Reach& r = fwd_.reach[u];
+      if (r.stamp != stamp_ || r.dist + 1 != dv) continue;
+      mark_[u] = stamp_;
+      queue_.push_back(u);
     }
   }
-  return std::nullopt;
+  // Greedy walk from s: at each step take the first unblocked out-arc
+  // whose head is one hop further along some shortest path -- the
+  // lexicographically smallest shortest path by out-arc position, which
+  // is what forward FIFO BFS with first-discovery parents returns. In
+  // the forward layers "on a shortest path" is the sweep's mark; past
+  // them it is the backward distance dropping by one.
+  const std::uint32_t d = fwd_.depth + bwd_.depth;
+  Path p{s, {}};
+  p.arcs.reserve(d);
+  NodeId v = s;
+  for (std::uint32_t i = 0; i < d; ++i) {
+    for (const ArcId a : g.out_arcs(v)) {
+      if (edge_blocked(blocked_edges, edge_of(a))) continue;
+      const NodeId w = g.head(a);
+      const BfsSide::Reach& back = bwd_.reach[w];
+      const bool next = i < fwd_.depth
+                            ? mark_[w] == stamp_ && fwd_.reach[w].dist == i + 1
+                            : back.stamp == stamp_ && back.dist == d - i - 1;
+      if (next) {
+        p.arcs.push_back(a);
+        v = w;
+        break;
+      }
+    }
+  }
+  return p;
 }
 
 template <class G>

@@ -14,6 +14,18 @@
 // is reused across queries instead of being reallocated per call; the
 // free functions below are convenience wrappers that pay one scratch
 // setup per call.
+//
+// Hop-count tie-break contract (bfs_shortest, and through it
+// edge_disjoint, tree_path and every caller): among all shortest s->t
+// paths, the one returned is the lexicographically smallest sequence of
+// out-arc positions -- at each node it takes the earliest arc in
+// `out_arcs` order that still lies on a shortest path. This is exactly
+// what a forward FIFO BFS with first-discovery parents returns, and it
+// is what the implementation reproduces with a bidirectional search:
+// the two sides meet at distance d, a sweep back from the meeting layer
+// marks the forward-side nodes on some shortest path, and a greedy walk
+// from s takes the first unblocked arc whose head is one hop closer to t
+// on a shortest path (DESIGN.md §10).
 
 #include <functional>
 #include <limits>
@@ -38,7 +50,9 @@ using ArcWeightFn = std::function<double(ArcId)>;
 class PathFinder {
  public:
   /// Shortest path by hop count; nullopt if `t` is unreachable from `s`.
-  /// `blocked_edges[e] != 0` removes edge `e` (both directions).
+  /// `blocked_edges[e] != 0` removes edge `e` (both directions); the
+  /// span may be empty or shorter than `edge_count()`, and edges past
+  /// its end are unblocked. Ties follow the contract in the file header.
   template <class G>
   [[nodiscard]] std::optional<Path> bfs_shortest(
       const G& g, NodeId s, NodeId t, std::span<const char> blocked_edges = {});
@@ -97,15 +111,38 @@ class PathFinder {
   template <class G>
   Path build_path(const G& g, NodeId s, NodeId t) const;
 
+  /// One side of the bidirectional BFS in bfs_shortest.
+  struct BfsSide {
+    struct Reach {
+      std::uint32_t stamp = 0;  // == stamp_ iff reached in this query
+      std::uint32_t dist = 0;   // hops from this side's root
+    };
+    std::vector<Reach> reach;
+    std::vector<NodeId> nodes;        // reached nodes, layer by layer
+    std::size_t frontier = 0;         // index of the last layer's first node
+    std::size_t frontier_degree = 0;  // out-degree sum of the last layer
+    std::uint32_t depth = 0;          // distance of the last layer
+  };
+  template <class G>
+  void bfs_seed(const G& g, BfsSide& side, NodeId root);
+  /// Grows `side` by one full layer; true if the new layer touches
+  /// `other`. Meeting nodes are marked in mark_ and queued on queue_.
+  template <class G>
+  bool bfs_expand(const G& g, BfsSide& side, const BfsSide& other,
+                  std::span<const char> blocked_edges);
+
   // Stamped node scratch: entry v is live in the current query iff
   // mark_[v] == stamp_; begin_query bumps the stamp instead of clearing
   // the arrays (semantically identical to fresh +inf / unseen arrays).
+  // bfs_shortest uses mark_ as "on a shortest path" and queue_ as the
+  // sweep FIFO; its per-side marks share the same stamp.
   std::uint32_t stamp_ = 0;
   std::vector<std::uint32_t> mark_;
   std::vector<double> dist_;        // Dijkstra distance / widest width
   std::vector<std::size_t> hops_;   // widest-path hop tiebreak
   std::vector<ArcId> parent_;
-  std::vector<NodeId> queue_;       // BFS FIFO (ring-less: head index)
+  std::vector<NodeId> queue_;       // FIFO (ring-less: head index)
+  BfsSide fwd_, bwd_;               // bfs_shortest sides, rooted at s, t
   std::vector<std::pair<double, NodeId>> heap_;  // Dijkstra binary heap
 
   struct WidestItem {

@@ -219,7 +219,8 @@ class SilentWhispersScheme final : public RoutingScheme {
  private:
   std::size_t landmark_count_;
   std::vector<graph::NodeId> landmarks_;
-  const graph::Graph* graph_ = nullptr;
+  graph::CsrGraph csr_;       // frozen at prepare()
+  graph::PathFinder finder_;  // reusable scratch for the splice BFSes
   /// Cached landmark-spliced trails per pair.
   std::map<std::pair<graph::NodeId, graph::NodeId>,
            std::vector<graph::Path>>

@@ -19,12 +19,13 @@ namespace {
 
 /// Concatenates a->b and b->c shortest paths and removes any loops so the
 /// result is a valid trail (distinct nodes).
-std::optional<graph::Path> splice_through(const graph::Graph& g,
+std::optional<graph::Path> splice_through(graph::PathFinder& finder,
+                                          const graph::CsrGraph& g,
                                           graph::NodeId src,
                                           graph::NodeId via,
                                           graph::NodeId dst) {
-  const auto first = graph::bfs_shortest_path(g, src, via);
-  const auto second = graph::bfs_shortest_path(g, via, dst);
+  const auto first = finder.bfs_shortest(g, src, via);
+  const auto second = finder.bfs_shortest(g, via, dst);
   if (!first || !second) return std::nullopt;
   std::vector<graph::ArcId> arcs = first->arcs;
   arcs.insert(arcs.end(), second->arcs.begin(), second->arcs.end());
@@ -57,7 +58,7 @@ std::optional<graph::Path> splice_through(const graph::Graph& g,
 void SilentWhispersScheme::prepare(const graph::Graph& g,
                                    const std::vector<core::Amount>&,
                                    const fluid::PaymentGraph&, double) {
-  graph_ = &g;
+  csr_ = graph::CsrGraph(g);
   cache_.clear();
   // Landmarks: the highest-degree nodes (ties by id), as landmark systems
   // pick well-connected routers.
@@ -83,7 +84,7 @@ std::vector<RouteChoice> SilentWhispersScheme::route(
   if (it == cache_.end()) {
     std::vector<graph::Path> paths;
     for (const graph::NodeId lm : landmarks_) {
-      auto p = splice_through(*graph_, req.src, lm, req.dst);
+      auto p = splice_through(finder_, csr_, req.src, lm, req.dst);
       if (!p) continue;
       // Skip duplicates (e.g. two landmarks on the same spine).
       const bool dup = std::any_of(
@@ -98,8 +99,8 @@ std::vector<RouteChoice> SilentWhispersScheme::route(
 
   // Capacity-aware atomic split: assign greedily per landmark path
   // against a local copy of availabilities (paths can share channels).
-  std::vector<core::Amount> avail(graph_->arc_count());
-  for (graph::ArcId a = 0; a < graph_->arc_count(); ++a) {
+  std::vector<core::Amount> avail(csr_.arc_count());
+  for (graph::ArcId a = 0; a < csr_.arc_count(); ++a) {
     avail[a] = net.available(a);
   }
   std::vector<RouteChoice> choices;

@@ -195,8 +195,7 @@ std::unique_ptr<Service> Service::restore(const exp::Json& snap,
   if (svc->windows_emitted_ != snap.at("windows_emitted").as_uint()) {
     throw std::runtime_error("Service::restore: window count diverged");
   }
-  if (svc->state_checksum() !=
-      static_cast<std::uint64_t>(snap.at("state_checksum").as_int())) {
+  if (svc->state_checksum() != snap.at("state_checksum").as_uint()) {
     throw std::runtime_error("Service::restore: state checksum mismatch");
   }
   svc->cfg_.window_sink = sink;

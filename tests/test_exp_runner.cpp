@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -265,6 +267,22 @@ TEST(Report, JsonParserHandlesNestingAndEscapes) {
   EXPECT_THROW((void)exp::Json::parse("{\"a\": 1,}garbage"),
                std::runtime_error);
   EXPECT_THROW((void)exp::Json::parse("[1, 2"), std::runtime_error);
+}
+
+TEST(Report, JsonUintRoundTripsEveryBitPattern) {
+  // Json stores integers as int64, so u64 values >= 2^63 dump as
+  // negative numbers; as_uint must still return exactly what was written.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  constexpr std::uint64_t kHigh = std::uint64_t{1} << 63;
+  for (const std::uint64_t u : {std::uint64_t{0}, std::uint64_t{42},
+                                kHigh - 1, kHigh, kHigh + 7, kMax}) {
+    const exp::Json j(u);
+    EXPECT_EQ(j.as_uint(), u);
+    EXPECT_EQ(exp::Json::parse(j.dump()).as_uint(), u);
+  }
+  // The emitted bytes are the int64 form, unchanged.
+  EXPECT_EQ(exp::Json(kMax).dump(), "-1");
+  EXPECT_EQ(exp::Json(kHigh).dump(), "-9223372036854775808");
 }
 
 TEST(Sweep, NamedTopologiesResolve) {

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <random>
 #include <set>
+#include <span>
+#include <utility>
+#include <vector>
 
+#include "exp/sweep.hpp"
+#include "graph/csr.hpp"
 #include "graph/topology.hpp"
+#include "workload/workload.hpp"
 
 namespace spider::graph {
 namespace {
@@ -212,6 +220,160 @@ TEST_P(PathPropertyTest, RandomGraphInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PathPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 11, 23, 47));
+
+// ---- bfs_shortest exactness against the forward-BFS oracle -----------
+//
+// The oracle is a single-direction FIFO BFS with first-discovery
+// parents. Its tie-break (the lexicographically smallest shortest path
+// by out-arc position) is the contract every path table, golden row and
+// BENCH checksum depends on, so the bidirectional search must match it
+// path for path.
+
+template <class G>
+std::optional<Path> oracle_bfs(const G& g, NodeId s, NodeId t,
+                               std::span<const char> blocked) {
+  if (s >= g.node_count() || t >= g.node_count()) return std::nullopt;
+  if (s == t) return Path{s, {}};
+  std::vector<char> seen(g.node_count(), 0);
+  std::vector<ArcId> parent(g.node_count(), kInvalidArc);
+  std::vector<NodeId> queue{s};
+  seen[s] = 1;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (const ArcId a : g.out_arcs(queue[head])) {
+      const EdgeId e = edge_of(a);
+      if (e < blocked.size() && blocked[e] != 0) continue;
+      const NodeId w = g.head(a);
+      if (seen[w]) continue;
+      seen[w] = 1;
+      parent[w] = a;
+      if (w == t) {
+        Path p{s, {}};
+        for (NodeId at = t; at != s; at = g.tail(parent[at])) {
+          p.arcs.push_back(parent[at]);
+        }
+        std::reverse(p.arcs.begin(), p.arcs.end());
+        return p;
+      }
+      queue.push_back(w);
+    }
+  }
+  return std::nullopt;
+}
+
+template <class G>
+std::vector<Path> oracle_edge_disjoint(const G& g, NodeId s, NodeId t,
+                                       std::size_t k) {
+  std::vector<Path> result;
+  std::vector<char> blocked(g.edge_count(), 0);
+  while (result.size() < k) {
+    auto p = oracle_bfs(g, s, t, blocked);
+    if (!p) break;
+    for (const ArcId a : p->arcs) blocked[edge_of(a)] = 1;
+    result.push_back(std::move(*p));
+  }
+  return result;
+}
+
+/// Multigraph with parallel edges, isolated nodes and several
+/// components (edges only join nodes of the same component).
+Graph random_multigraph(std::mt19937_64& rng) {
+  const std::size_t n = 1 + rng() % 40;
+  const std::size_t comps = 1 + rng() % 3;
+  Graph g(n);
+  std::vector<std::vector<NodeId>> members(comps);  // isolated nodes: none
+  for (NodeId v = 0; v < n; ++v) {
+    if (rng() % 8 != 0) members[rng() % comps].push_back(v);
+  }
+  const std::size_t m = n + rng() % (3 * n);
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::vector<NodeId>& c = members[rng() % comps];
+    if (c.size() < 2) continue;
+    const NodeId u = c[rng() % c.size()];
+    const NodeId v = c[rng() % c.size()];
+    if (u == v) continue;
+    g.add_edge(u, v);
+    if (rng() % 4 == 0) g.add_edge(v, u);  // parallel, either orientation
+  }
+  return g;
+}
+
+/// Empty, full-length or truncated random blocked-edge mask.
+std::vector<char> random_mask(std::mt19937_64& rng, std::size_t edges) {
+  const std::size_t shape = rng() % 4;
+  if (shape == 0) return {};
+  const std::size_t len = shape == 1 ? edges / 2 : edges;
+  const unsigned density = 1 + static_cast<unsigned>(rng() % 4);
+  std::vector<char> mask(len, 0);
+  for (char& b : mask) b = rng() % 16 < density ? 1 : 0;
+  return mask;
+}
+
+TEST(BfsExactness, RandomMultigraphsMatchForwardOracle) {
+  std::mt19937_64 rng(20181115);
+  PathFinder finder;  // one finder across graphs of every size
+  std::size_t queries = 0;
+  std::size_t multi_hop = 0;  // answers where a tie-break can matter
+  for (int round = 0; round < 3000; ++round) {
+    const Graph g = random_multigraph(rng);
+    const CsrGraph csr(g);
+    const auto n = static_cast<NodeId>(g.node_count());
+    for (int q = 0; q < 12; ++q) {
+      const std::vector<char> mask = random_mask(rng, g.edge_count());
+      // Include out-of-range ids and s == t.
+      const NodeId s = static_cast<NodeId>(rng() % (n + 2));
+      const NodeId t = q % 5 == 0 ? s : static_cast<NodeId>(rng() % (n + 2));
+      const auto want = oracle_bfs(g, s, t, mask);
+      if (want && want->length() >= 2) ++multi_hop;
+      ASSERT_EQ(finder.bfs_shortest(g, s, t, mask), want)
+          << "round " << round << " s=" << s << " t=" << t;
+      ASSERT_EQ(finder.bfs_shortest(csr, s, t, mask), want)
+          << "round " << round << " s=" << s << " t=" << t;
+      ++queries;
+    }
+    for (std::size_t k = 1; k <= 6; ++k) {
+      const NodeId s = static_cast<NodeId>(rng() % n);
+      const NodeId t = static_cast<NodeId>(rng() % n);
+      const auto want = oracle_edge_disjoint(g, s, t, k);
+      ASSERT_EQ(finder.edge_disjoint(g, s, t, k), want)
+          << "round " << round << " k=" << k;
+      ASSERT_EQ(finder.edge_disjoint(csr, s, t, k), want)
+          << "round " << round << " k=" << k;
+      ++queries;
+    }
+  }
+  EXPECT_GT(queries, 50000u);
+  EXPECT_GT(multi_hop, 5000u);
+}
+
+TEST(BfsExactness, Ripple3774TraceAtK4MatchesForwardOracle) {
+  const Graph g = exp::make_named_topology("ripple-3774");
+  const CsrGraph csr(g);
+  const workload::Trace trace =
+      workload::generate_trace(g, workload::ripple_workload(6000, 60.0, 1));
+  ASSERT_EQ(trace.size(), 6000u);
+  std::set<std::pair<NodeId, NodeId>> pairs;
+  for (const workload::Transaction& tx : trace) pairs.emplace(tx.src, tx.dst);
+  PathFinder finder;
+  for (const auto& [s, t] : pairs) {
+    ASSERT_EQ(finder.edge_disjoint(csr, s, t, 4),
+              oracle_edge_disjoint(csr, s, t, 4))
+        << s << " -> " << t;
+  }
+}
+
+TEST(BfsExactness, Lightning100kSampleMatchesForwardOracle) {
+  const Graph g = exp::make_named_topology("lightning-100k");
+  const CsrGraph csr(g);
+  std::mt19937_64 rng(100000);
+  PathFinder finder;
+  for (int i = 0; i < 40; ++i) {
+    const auto s = static_cast<NodeId>(rng() % csr.node_count());
+    const auto t = static_cast<NodeId>(rng() % csr.node_count());
+    ASSERT_EQ(finder.edge_disjoint(csr, s, t, 4),
+              oracle_edge_disjoint(csr, s, t, 4))
+        << s << " -> " << t;
+  }
+}
 
 }  // namespace
 }  // namespace spider::graph

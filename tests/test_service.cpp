@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -325,6 +326,19 @@ TEST(ServiceSnapshot, SplitsUnderActiveFaultsAreByteIdentical) {
     expect_split_identity(cfg, split);
     expect_split_identity(cfg, split, /*restore_shards=*/2);
   }
+}
+
+TEST(ServiceSnapshot, MaxSeedRoundTrips) {
+  // Seeds >= 2^63 serialize as negative int64 JSON numbers; restore must
+  // read back the same seed and state checksum.
+  ServiceConfig cfg = small_service(kGeneratorSpecs[0]);
+  cfg.seed = std::numeric_limits<std::uint64_t>::max();
+  expect_split_identity(cfg, 45.0);
+  Service svc(cfg);
+  svc.run(45.0);
+  const exp::Json snap = exp::Json::parse(svc.snapshot().dump());
+  EXPECT_EQ(snap.at("seed").as_uint(), cfg.seed);
+  EXPECT_EQ(Service::restore(snap)->state_checksum(), svc.state_checksum());
 }
 
 TEST(ServiceSnapshot, RestoreRejectsTamperedSnapshots) {
