@@ -35,6 +35,28 @@ fluid::PaymentGraph top_pairs(const fluid::PaymentGraph& demand,
   return top;
 }
 
+/// The fluid instance both Spider (LP) variants solve: the top demand
+/// pairs, `k` edge-disjoint paths per pair and channel capacities in
+/// units.
+struct FluidInstance {
+  fluid::PaymentGraph demand;
+  fluid::PathSet paths;
+  std::vector<double> caps;
+};
+
+FluidInstance fluid_instance(const graph::Graph& g,
+                             const std::vector<core::Amount>& edge_capacity,
+                             const fluid::PaymentGraph& demand_estimate,
+                             std::size_t k) {
+  FluidInstance in{top_pairs(demand_estimate, kMaxLpPairs), {},
+                   std::vector<double>(g.edge_count())};
+  in.paths = fluid::edge_disjoint_path_set(g, in.demand, k);
+  for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
+    in.caps[e] = core::to_units(edge_capacity[e]);
+  }
+  return in;
+}
+
 using WeightTable = std::map<std::pair<graph::NodeId, graph::NodeId>,
                              std::vector<std::pair<graph::Path, double>>>;
 
@@ -122,13 +144,10 @@ void SpiderLpScheme::prepare(const graph::Graph& g,
                              const fluid::PaymentGraph& demand_estimate,
                              double delta) {
   weights_.clear();
-  const fluid::PaymentGraph demand = top_pairs(demand_estimate, kMaxLpPairs);
+  const FluidInstance in =
+      fluid_instance(g, edge_capacity, demand_estimate, k_);
+  const auto& [demand, paths, caps] = in;
   if (demand.demand_count() == 0) return;
-  const fluid::PathSet paths = fluid::edge_disjoint_path_set(g, demand, k_);
-  std::vector<double> caps(g.edge_count());
-  for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
-    caps[e] = core::to_units(edge_capacity[e]);
-  }
   // The dense simplex is exact but O(rows * cols) per pivot; above a size
   // threshold fall back to the decentralized primal-dual solver of §5.3
   // (the paper's own practical answer to LP scaling, §5.3.1). Both yield
@@ -159,14 +178,11 @@ void SpiderPrimalDualScheme::prepare(
     const graph::Graph& g, const std::vector<core::Amount>& edge_capacity,
     const fluid::PaymentGraph& demand_estimate, double delta) {
   weights_.clear();
-  const fluid::PaymentGraph demand = top_pairs(demand_estimate, kMaxLpPairs);
-  if (demand.demand_count() == 0) return;
-  const fluid::PathSet paths = fluid::edge_disjoint_path_set(g, demand, k_);
-  std::vector<double> caps(g.edge_count());
-  for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
-    caps[e] = core::to_units(edge_capacity[e]);
-  }
-  weights_ = primal_dual_weights(g, caps, demand, paths, delta, iterations_);
+  const FluidInstance in =
+      fluid_instance(g, edge_capacity, demand_estimate, k_);
+  if (in.demand.demand_count() == 0) return;
+  weights_ = primal_dual_weights(g, in.caps, in.demand, in.paths, delta,
+                                 iterations_);
 }
 
 std::vector<RouteChoice> SpiderPrimalDualScheme::route(
