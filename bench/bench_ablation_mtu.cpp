@@ -22,7 +22,9 @@ sim::Metrics run_packet(const graph::Graph& g, const workload::Trace& trace,
   cfg.mtu = mtu;
   cfg.path_policy = policy;
   cfg.router_policy = core::SchedulingPolicy::kSrpt;
-  cfg.enable_congestion_control = congestion_control;
+  if (congestion_control) {
+    cfg.cc_mode = sim::CongestionControlMode::kFailureWindow;
+  }
   sim::PacketSimulator psim(
       g, std::vector<core::Amount>(g.edge_count(), core::from_units(600)),
       cfg);

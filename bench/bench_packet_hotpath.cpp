@@ -53,7 +53,9 @@ HotpathResult run_hotpath_trial(const graph::Graph& g,
   cfg.end_time = hc.end_time;
   cfg.mtu = core::from_units(hc.mtu_units);
   cfg.path_policy = trial.path_policy;
-  cfg.enable_congestion_control = trial.congestion_control;
+  if (trial.congestion_control) {
+    cfg.cc_mode = sim::CongestionControlMode::kFailureWindow;
+  }
   cfg.seed = trial.seed;
   sim::PacketSimulator psim(
       g,

@@ -10,9 +10,7 @@
 //    restored from the JSON document, and both the original and the
 //    restored service continue to the end -- final metrics
 //    (operator==), state checksums, and every window record's
-//    deterministic fields must match;
-//  * shard identity: the same service runs at shards=2; final metrics
-//    and the canonical state checksum must equal the serial run's.
+//    deterministic fields must match.
 //
 // Writes BENCH_steady_state.json. CI re-runs the bench at this reduced
 // scale and diffs the deterministic fields against the committed
@@ -89,10 +87,10 @@ exp::Json run_variant(const char* name, const service::ServiceConfig& base) {
   std::printf("\n== %s: %s on %s, %.0f sim-seconds ==\n", name,
               base.scheme.c_str(), base.topology.c_str(), base.duration);
 
-  // Straight-through serial run (the throughput measurement).
+  // Straight-through run (the throughput measurement).
   const auto t0 = Clock::now();
   service::Service svc(base);
-  const sim::Metrics serial = svc.finish();
+  const sim::Metrics straight = svc.finish();
   const double wall = std::chrono::duration<double>(Clock::now() - t0).count();
   const std::uint64_t checksum = svc.state_checksum();
   std::uint64_t events = 0;
@@ -100,8 +98,8 @@ exp::Json run_variant(const char* name, const service::ServiceConfig& base) {
   std::printf("  txns=%llu success=%.4f p50=%.2fs p99=%.2fs windows=%zu "
               "peak_live=%zu\n  wall=%.2fs (%.0f events/sec)\n",
               static_cast<unsigned long long>(svc.txns_streamed()),
-              serial.success_ratio(), serial.latency_p50(),
-              serial.latency_p99(), svc.windows().size(),
+              straight.success_ratio(), straight.latency_p50(),
+              straight.latency_p99(), svc.windows().size(),
               svc.peak_live_payments(), wall,
               wall > 0 ? static_cast<double>(events) / wall : 0.0);
 
@@ -115,27 +113,13 @@ exp::Json run_variant(const char* name, const service::ServiceConfig& base) {
       service::Service::restore(reparsed);
   const sim::Metrics& m_cont = cont.finish();
   const sim::Metrics& m_rest = restored->finish();
-  check(m_cont == serial, "half+continue metrics == straight-through");
-  check(m_rest == serial, "restored metrics == straight-through");
+  check(m_cont == straight, "half+continue metrics == straight-through");
+  check(m_rest == straight, "restored metrics == straight-through");
   check(cont.state_checksum() == checksum, "half+continue checksum");
   check(restored->state_checksum() == checksum, "restored checksum");
   check(windows_equal(svc.windows(), restored->windows()),
         "restored window records");
   std::printf("  snapshot/restore identity: OK\n");
-
-  // Shard identity: same service at shards=2 (and restore the half-time
-  // snapshot under shards=2 as well).
-  service::ServiceConfig sharded = base;
-  sharded.shards = 2;
-  service::Service svc2(sharded);
-  const sim::Metrics& m2 = svc2.finish();
-  check(m2 == serial, "shards=2 metrics == serial");
-  check(svc2.state_checksum() == checksum, "shards=2 checksum == serial");
-  std::unique_ptr<service::Service> restored2 =
-      service::Service::restore(reparsed, nullptr, 2);
-  check(restored2->finish() == serial, "restore-at-shards=2 metrics");
-  check(restored2->state_checksum() == checksum, "restore-at-shards=2 checksum");
-  std::printf("  shard identity (K=0 vs K=2, incl. cross-K restore): OK\n");
 
   exp::Json j = exp::Json::object();
   j.set("variant", name);
@@ -149,10 +133,9 @@ exp::Json run_variant(const char* name, const service::ServiceConfig& base) {
   j.set("windows", static_cast<std::uint64_t>(svc.windows().size()));
   j.set("peak_live_payments",
         static_cast<std::uint64_t>(svc.peak_live_payments()));
-  j.set("metrics", exp::report::metrics_to_json(serial));
+  j.set("metrics", exp::report::metrics_to_json(straight));
   j.set("state_checksum", checksum);
   j.set("snapshot_restore_identity", true);
-  j.set("shard_identity", true);
   j.set("events", events);
   // Wall-clock fields (nondeterministic; not diffed by CI).
   j.set("wall_seconds", wall);

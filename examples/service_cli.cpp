@@ -37,7 +37,6 @@ struct CliArgs {
   std::string snapshot_out = "service_snapshot.json";
   std::string restore_path;
   std::string jsonl_out;  // window records also to this file
-  int shards = -1;        // restore override
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -45,7 +44,7 @@ struct CliArgs {
       stderr,
       "usage: %s [--topology NAME] [--scheme NAME] [--workload SPEC]\n"
       "          [--adversary SPEC] [--duration S] [--window S]\n"
-      "          [--seed N] [--shards K] [--audit] [--no-retire]\n"
+      "          [--seed N] [--audit] [--no-retire]\n"
       "          [--snapshot-every S] [--snapshot-out PATH]\n"
       "          [--restore PATH] [--jsonl PATH]\n",
       argv0);
@@ -76,11 +75,6 @@ CliArgs parse(int argc, char** argv) {
       a.cfg.window = std::atof(need("--window"));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       a.cfg.seed = static_cast<std::uint64_t>(std::atoll(need("--seed")));
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      a.shards = std::atoi(need("--shards"));
-      if (a.shards >= 0) {
-        a.cfg.shards = static_cast<std::uint32_t>(a.shards);
-      }
     } else if (std::strcmp(argv[i], "--audit") == 0) {
       a.cfg.audit = true;
     } else if (std::strcmp(argv[i], "--no-retire") == 0) {
@@ -124,7 +118,7 @@ int main(int argc, char** argv) {
   try {
     if (!args.restore_path.empty()) {
       const exp::Json snap = exp::Json::parse(slurp(args.restore_path));
-      svc = service::Service::restore(snap, &std::cout, args.shards);
+      svc = service::Service::restore(snap, &std::cout);
       std::fprintf(stderr, "restored %s at t=%.1f (%llu txns, checksum ok)\n",
                    args.restore_path.c_str(), svc->now(),
                    static_cast<unsigned long long>(svc->txns_streamed()));

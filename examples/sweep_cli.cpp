@@ -46,7 +46,6 @@ struct CliOptions {
   bool collect_series = false;
   bool audit = false;
   std::string faults;
-  std::uint32_t shards = 0;
 };
 
 std::vector<std::string> split_csv(const std::string& s) {
@@ -71,7 +70,7 @@ std::vector<std::string> split_csv(const std::string& s) {
       "          [--json PATH] [--csv PATH] [--schemes a,b,...]\n"
       "          [--topologies a,b,...] [--seeds K] [--txns N]\n"
       "          [--base-seed S] [--deadline T] [--mtu UNITS] [--series]\n"
-      "          [--audit] [--faults SPEC] [--shards K]\n"
+      "          [--audit] [--faults SPEC]\n"
       "  --deadline: per-payment deadline offset from arrival (0 = none)\n"
       "  --mtu: transaction-unit size for packet-backed schemes\n"
       "         (spider-cc runs on the packet simulator)\n"
@@ -80,11 +79,7 @@ std::vector<std::string> split_csv(const std::string& s) {
       "  --faults: fault-profile spec applied to every trial, e.g.\n"
       "            'churn=0.05;downtime=5;close=0.01;seed=7'\n"
       "            (keys: churn downtime close withhold hold stale\n"
-      "            staledur seed horizon; ';' or ',' separated)\n"
-      "  --shards: router shard count for packet-backed trials (0 =\n"
-      "            classic serial engine, K >= 1 = deterministic PDES\n"
-      "            engine). Execution knob only: reports are\n"
-      "            byte-identical at any value\n",
+      "            staledur seed horizon; ';' or ',' separated)\n",
       argv0);
   std::exit(2);
 }
@@ -134,8 +129,6 @@ CliOptions parse(int argc, char** argv) {
       opt.audit = true;
     } else if (std::strcmp(argv[i], "--faults") == 0) {
       opt.faults = value();
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      opt.shards = static_cast<std::uint32_t>(std::atoll(value()));
     } else {
       usage(argv[0]);
     }
@@ -197,7 +190,6 @@ int run(int argc, char** argv) {
   cfg.collect_series = opt.collect_series;
   cfg.audit = opt.audit;
   cfg.faults = opt.faults;
-  cfg.shards = opt.shards;
 
   const exp::Runner runner(opt.threads);
   const std::vector<exp::TrialSpec> trials = exp::make_trials(cfg);

@@ -101,9 +101,6 @@ sim::Metrics run_packet_trial(const TrialSpec& spec, const graph::Graph& g,
   cfg.series_bucket = spec.series_bucket;
   cfg.auditor = auditor;
   cfg.faults = injector;
-  // Execution knob only: metrics are byte-identical at any shard count,
-  // so reports carry no shards column.
-  cfg.shards = spec.shards;
   sim::PacketSimulator ps(
       g,
       std::vector<core::Amount>(g.edge_count(),
@@ -252,7 +249,6 @@ std::vector<TrialSpec> make_trials(const SweepConfig& cfg) {
           t.series_bucket = cfg.series_bucket;
           t.audit = cfg.audit;
           t.faults = cfg.faults;
-          t.shards = cfg.shards;
           trials.push_back(std::move(t));
         }
       }

@@ -62,13 +62,6 @@ struct TrialSpec {
   /// trial is byte-identical to one run before faults existed. A
   /// profile horizon <= 0 defaults to the trial's end_time.
   std::string faults;
-  /// Router shard count for packet-backed trials (PacketSimConfig::
-  /// shards, DESIGN.md §12): 0 = classic serial engine, K >= 1 = the
-  /// deterministic PDES engine. An execution knob, not an experiment
-  /// parameter -- metrics (and therefore reports) are byte-identical at
-  /// any value, which tests/test_pdes_differential.cpp pins. Flow
-  /// trials ignore it.
-  std::uint32_t shards = 0;
 };
 
 struct TrialResult {
@@ -130,8 +123,6 @@ struct SweepConfig {
   bool audit = false;
   /// Fault profile spec applied to every trial (TrialSpec::faults).
   std::string faults;
-  /// Shard count for every packet-backed trial (TrialSpec::shards).
-  std::uint32_t shards = 0;
 };
 
 [[nodiscard]] std::vector<TrialSpec> make_trials(const SweepConfig& cfg);

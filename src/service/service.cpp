@@ -19,7 +19,6 @@ sim::PacketSimConfig make_sim_config(const ServiceConfig& cfg,
   sc.end_time = cfg.duration;
   sc.mtu = core::from_units(cfg.mtu_units);
   sc.seed = cfg.seed;
-  sc.shards = cfg.shards;
   sc.auditor = auditor;
   sc.faults = injector;
   if (cfg.scheme == "spider-cc") {
@@ -152,7 +151,6 @@ exp::Json Service::snapshot() const {
   j.set("deadline_offset", cfg_.deadline_offset);
   j.set("mtu_units", cfg_.mtu_units);
   j.set("seed", cfg_.seed);
-  j.set("shards", static_cast<std::uint64_t>(cfg_.shards));
   j.set("audit", cfg_.audit);
   j.set("retire", cfg_.retire);
   j.set("sim_time", sim_->now());
@@ -164,8 +162,7 @@ exp::Json Service::snapshot() const {
 }
 
 std::unique_ptr<Service> Service::restore(const exp::Json& snap,
-                                          std::ostream* sink,
-                                          int shards_override) {
+                                          std::ostream* sink) {
   const exp::Json* fmt = snap.find("format");
   if (fmt == nullptr || fmt->as_string() != "spider-service-snapshot-v1") {
     throw std::runtime_error("Service::restore: not a service snapshot");
@@ -181,9 +178,6 @@ std::unique_ptr<Service> Service::restore(const exp::Json& snap,
   cfg.deadline_offset = snap.at("deadline_offset").as_double();
   cfg.mtu_units = snap.at("mtu_units").as_double();
   cfg.seed = snap.at("seed").as_uint();
-  cfg.shards = shards_override >= 0
-                   ? static_cast<std::uint32_t>(shards_override)
-                   : static_cast<std::uint32_t>(snap.at("shards").as_uint());
   cfg.audit = snap.at("audit").as_bool();
   cfg.retire = snap.at("retire").as_bool();
   cfg.window_sink = nullptr;  // replay is silent

@@ -15,9 +15,7 @@
 // spec, adversary spec, seeds, knobs) plus progress counters and an
 // FNV-1a state checksum; restore rebuilds the service from the inputs,
 // replays to the snapshot's sim time with the window sink suppressed,
-// and validates the checksum. Because the simulator is byte-identical
-// at any shard count, a snapshot taken at K shards restores fine at K'
-// -- the differential tests pin exactly that.
+// and validates the checksum.
 
 #include <chrono>
 #include <cstdint>
@@ -53,7 +51,6 @@ struct ServiceConfig {
   double deadline_offset = 30.0;   // payment deadline = arrival + offset
   double mtu_units = 10.0;
   std::uint64_t seed = 1;          // simulator seed (keys, path salts)
-  std::uint32_t shards = 0;        // 0 = serial engine
   bool audit = false;              // strict invariant auditor
   bool retire = true;              // retire resolved payments per window
   /// JSON-lines sink for per-window records (null = keep in memory
@@ -105,12 +102,11 @@ class Service {
   /// Rebuilds a service from `snap` and replays it (window sink
   /// suppressed) to the snapshot's sim time, then validates progress
   /// counters and the state checksum, throwing std::runtime_error on
-  /// any divergence. `shards_override` >= 0 restores under a different
-  /// shard count (byte-identical by the PDES contract). The returned
+  /// any divergence. Keys the restore does not read (such as the
+  /// "shards" count older snapshots carry) are ignored. The returned
   /// service continues with `sink` attached.
   static std::unique_ptr<Service> restore(const exp::Json& snap,
-                                          std::ostream* sink = nullptr,
-                                          int shards_override = -1);
+                                          std::ostream* sink = nullptr);
 
   [[nodiscard]] const ServiceConfig& config() const { return cfg_; }
   [[nodiscard]] const graph::Graph& graph() const { return graph_; }

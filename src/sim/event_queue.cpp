@@ -135,26 +135,6 @@ void EventQueue::run_all() {
   }
 }
 
-std::uint64_t EventQueue::layout_checksum() const {
-  constexpr std::uint64_t kOffset = 1469598103934665603ull;
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  std::uint64_t h = kOffset;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= kPrime;
-  };
-  mix(std::bit_cast<std::uint64_t>(now_));
-  mix(next_seq_);
-  mix(processed_);
-  for (const SimEvent& ev : heap_.entries()) {
-    mix(std::bit_cast<std::uint64_t>(ev.time));
-    mix(ev.meta);
-    mix(ev.a);
-    mix(ev.b);
-  }
-  return h;
-}
-
 std::uint64_t EventQueue::canonical_checksum() const {
   constexpr std::uint64_t kOffset = 1469598103934665603ull;
   constexpr std::uint64_t kPrime = 1099511628211ull;

@@ -45,8 +45,7 @@ enum class EventKind : std::uint8_t {
 /// POD heap entry, 32 bytes: the sequence number and kind share one
 /// word (seq in the high 56 bits, so ordering by `meta` IS ordering by
 /// insertion sequence). Payload is inline; callback events indirect via
-/// slot `a`. Shared by the serial EventQueue and the sharded PDES
-/// engine (sim/shard.hpp) so both order events identically.
+/// slot `a`.
 struct SimEvent {
   TimePoint time;
   std::uint64_t meta;  // (seq << 8) | kind
@@ -67,9 +66,7 @@ struct SimEvent {
 /// 4-ary min-heap on SimEvent::before. The d-ary layout halves the pop
 /// depth vs a binary heap and keeps siblings in one cache line; pop
 /// order is the comparator's total order regardless of layout, so
-/// determinism is untouched. Extracted from EventQueue so the sharded
-/// engine's per-shard heaps and hot lane reuse the exact same ordering
-/// machinery.
+/// determinism is untouched.
 class EventHeap {
  public:
   void push(const SimEvent& ev);
@@ -81,7 +78,7 @@ class EventHeap {
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   /// Underlying array in heap layout (deterministic given a
-  /// deterministic push/pop sequence); used by checksums and recounts.
+  /// deterministic push/pop sequence); used by canonical_checksum.
   [[nodiscard]] const std::vector<SimEvent>& entries() const { return heap_; }
 
  private:
@@ -168,18 +165,13 @@ class EventQueue {
   /// Events executed so far (monotone; the unit of events/sec benches).
   [[nodiscard]] std::uint64_t processed() const { return processed_; }
 
-  /// FNV-1a over the clock, sequence counter, and every queued event
-  /// (time bits, meta, payload). The heap layout is a deterministic
-  /// function of the push/pop history, so two byte-identical runs
-  /// checksum identically at the same point; used by the service-mode
-  /// snapshot validation (DESIGN.md §13).
-  [[nodiscard]] std::uint64_t layout_checksum() const;
-
-  /// Like layout_checksum but over the pending events sorted by
-  /// sequence number -- a pure function of the *semantic* engine state,
-  /// so it agrees with ShardedEngine::canonical_checksum() at any shard
-  /// count (the engines queue the same event set with the same
-  /// sequence numbers at the same sim-time point).
+  /// FNV-1a over the clock, sequence counter, processed-event count,
+  /// and every pending event (time bits, meta, payload) sorted by
+  /// sequence number -- a pure function of the engine's semantic state,
+  /// independent of heap layout. Two byte-identical runs checksum
+  /// identically at the same point; PacketSimulator::state_checksum()
+  /// mixes it in for the service-mode snapshot validation (DESIGN.md
+  /// §13).
   [[nodiscard]] std::uint64_t canonical_checksum() const;
 
  private:

@@ -1,5 +1,4 @@
 #include "sim/packet_sim.hpp"
-// spider-lint: shard-state-file
 
 #include <algorithm>
 #include <bit>
@@ -12,22 +11,6 @@
 
 namespace spider::sim {
 
-namespace {
-/// Shard anchor of a fault event: the target node for node-scoped
-/// faults, the lower endpoint for channel closures, node 0 for the
-/// global probe-staleness spike (its target must be 0 by plan
-/// contract). Purely a routing decision -- any deterministic choice
-/// preserves byte-identity.
-core::NodeId fault_anchor(const graph::Graph& g, faults::FaultKind kind,
-                          std::uint32_t target) {
-  if (kind == faults::FaultKind::kChannelClose ||
-      kind == faults::FaultKind::kJam) {
-    return g.edge_u(target);
-  }
-  return target < g.node_count() ? target : 0;
-}
-}  // namespace
-
 PacketSimulator::PacketSimulator(const graph::Graph& g,
                                  std::vector<core::Amount> edge_capacity,
                                  PacketSimConfig config)
@@ -39,12 +22,6 @@ PacketSimulator::PacketSimulator(const graph::Graph& g,
       faults_(config.faults) {
   if (cfg_.mtu <= 0 || cfg_.hop_delay <= 0 || cfg_.end_time <= 0) {
     throw std::invalid_argument("PacketSimulator: bad config");
-  }
-  // The legacy bool is an alias for the failure-driven window; an
-  // explicit cc_mode always wins so new call sites need not clear it.
-  if (cfg_.cc_mode == CongestionControlMode::kNone &&
-      cfg_.enable_congestion_control) {
-    cfg_.cc_mode = CongestionControlMode::kFailureWindow;
   }
   if (cfg_.cc_mode == CongestionControlMode::kSpiderCc &&
       (cfg_.cc_alpha <= 0 || cfg_.cc_beta <= 0 || cfg_.cc_beta >= 1 ||
@@ -72,23 +49,11 @@ PacketSimulator::PacketSimulator(const graph::Graph& g,
     mc.unmark_fraction = cfg_.cc_mark_unmark_fraction;
     mc.ewma_gain = cfg_.cc_mark_ewma_gain;
     for (core::NodeId v = 0; v < g.node_count(); ++v) {
-      owned_router(v).configure_marking(mc);
+      routers_[v].configure_marking(mc);
     }
   }
   pair_rows_.resize(g.node_count());
-  if (cfg_.shards > 0) {
-    // Epoch length = the minimum cross-shard event delay (one hop):
-    // everything a hop/ack schedules lands at least one epoch ahead, so
-    // mailbox traffic always commits before its fire epoch; the rare
-    // shorter schedule (chained arrivals, sub-epoch fault ends) takes
-    // the engine's hot lane.
-    pdes_ = std::make_unique<ShardedEngine>(
-        ShardPlan(static_cast<std::uint32_t>(g.node_count()), cfg_.shards),
-        cfg_.hop_delay, cfg_.shard_parallel_for);
-    pdes_->set_dispatcher(&PacketSimulator::dispatch, this);
-  } else {
-    events_.set_dispatcher(&PacketSimulator::dispatch, this);
-  }
+  events_.set_dispatcher(&PacketSimulator::dispatch, this);
 }
 
 void PacketSimulator::dispatch(void* ctx, EventKind kind, std::uint64_t a,
@@ -111,8 +76,8 @@ void PacketSimulator::dispatch(void* ctx, EventKind kind, std::uint64_t a,
       ++self->next_arrival_;
       if (self->next_arrival_ < self->arrivals_.size()) {
         const PendingArrival& next = self->arrivals_[self->next_arrival_];
-        self->sched_reserved(self->requests_[next.pid].src, next.time,
-                             EventKind::kArrival, next.seq, next.pid);
+        self->events_.schedule_typed_reserved(next.time, EventKind::kArrival,
+                                              next.seq, next.pid);
       }
       self->arrive(static_cast<core::PaymentId>(a));
       break;
@@ -491,7 +456,7 @@ void PacketSimulator::advance(core::SlabHandle h, TimePoint queue_delay) {
     fail_unit(st->unit.id);
     return;
   }
-  auto htlc = owned_channel(graph::edge_of(arc))
+  auto htlc = net_.channel(graph::edge_of(arc))
                   .offer_htlc(core::ChannelNetwork::arc_side(arc),
                               st->unit.amount, st->unit.lock);
   if (!htlc) {
@@ -503,7 +468,7 @@ void PacketSimulator::advance(core::SlabHandle h, TimePoint queue_delay) {
         transports_[st->unit.src]->remaining(st->unit.id.payment);
     qu.enqueued = now();
     qu.deadline = st->unit.deadline;
-    owned_router(graph_.tail(arc)).push_local(arc_local_[arc], qu);
+    routers_[graph_.tail(arc)].push_local(arc_local_[arc], qu);
     ++total_queued_units_;
     total_queued_amount_ += qu.amount;
     return;
@@ -515,13 +480,12 @@ void PacketSimulator::advance(core::SlabHandle h, TimePoint queue_delay) {
     // unit's wait (0 on pass-through) and stamps the resulting one-bit
     // mark onto the unit; once marked, always marked (§5 of the NSDI
     // design: any congested hop suffices).
-    st->marked |= owned_router(graph_.tail(arc))
-                      .observe_delay_local(arc_local_[arc], queue_delay);
+    st->marked |= routers_[graph_.tail(arc)].observe_delay_local(
+        arc_local_[arc], queue_delay);
   }
-  // The unit lands at the arc's head one hop delay from now -- that
-  // router's shard owns the event.
-  sched_in(graph_.head(arc), cfg_.hop_delay, EventKind::kHopAdvance,
-           h.packed());
+  // The unit lands at the arc's head one hop delay from now.
+  events_.schedule_typed_in(cfg_.hop_delay, EventKind::kHopAdvance,
+                            h.packed());
 }
 
 void PacketSimulator::reach_next_hop(core::SlabHandle h) {
@@ -557,8 +521,8 @@ void PacketSimulator::unit_reached_destination(core::SlabHandle h) {
     if (griefed > withheld) withheld = griefed;
     ++metrics_.fault_griefed_acks;
   }
-  // The ack fires at the sender -- its shard owns the event.
-  sched_in(st.unit.src, ack_delay + withheld, EventKind::kAck, h.packed());
+  events_.schedule_typed_in(ack_delay + withheld, EventKind::kAck,
+                            h.packed());
 }
 
 void PacketSimulator::ack_unit(core::SlabHandle h) {
@@ -583,7 +547,7 @@ void PacketSimulator::settle_unit(core::TxUnitId uid, core::Preimage key) {
   // service the queues that were waiting for them.
   for (std::size_t i = 0; i < st->htlcs.size(); ++i) {
     const graph::ArcId arc = st->path->arcs[i];
-    if (!owned_channel(graph::edge_of(arc)).settle_htlc(st->htlcs[i], key)) {
+    if (!net_.channel(graph::edge_of(arc)).settle_htlc(st->htlcs[i], key)) {
       throw std::logic_error("packet_sim: settle failed (bad key?)");
     }
   }
@@ -615,7 +579,7 @@ void PacketSimulator::fail_unit(core::TxUnitId uid, bool retryable) {
   if (st == nullptr) return;
   for (std::size_t i = 0; i < st->htlcs.size(); ++i) {
     const graph::ArcId arc = st->path->arcs[i];
-    owned_channel(graph::edge_of(arc)).fail_htlc(st->htlcs[i]);
+    net_.channel(graph::edge_of(arc)).fail_htlc(st->htlcs[i]);
   }
   held_amount_ -=
       st->unit.amount * static_cast<core::Amount>(st->htlcs.size());
@@ -649,7 +613,7 @@ void PacketSimulator::fail_unit(core::TxUnitId uid, bool retryable) {
 
 void PacketSimulator::service_arc(graph::ArcId a) {
   if (faults_ != nullptr && faults_->node_down(graph_.tail(a))) return;
-  core::Router& router = owned_router(graph_.tail(a));
+  core::Router& router = routers_[graph_.tail(a)];
   const std::size_t i = arc_local_[a];
   while (const core::QueuedUnit* top = router.peek_local(i)) {
     const core::Amount avail = net_.available(a);
@@ -667,7 +631,7 @@ void PacketSimulator::sweep_expired() {
     // into routers later in the scan, which this same sweep must see --
     // exactly as a full walk over all routers would.
     for (core::NodeId v = 0; v < graph_.node_count(); ++v) {
-      core::Router& r = owned_router(v);
+      core::Router& r = routers_[v];
       if (r.queued_units() == 0) continue;  // O(1) skip
       for (const core::QueuedUnit& qu : r.drop_expired(now())) {
         --total_queued_units_;
@@ -676,11 +640,9 @@ void PacketSimulator::sweep_expired() {
       }
     }
   }
-  // The sweep is a single global event (anchored at node 0): splitting
-  // it per shard would shift sequence numbers and change the serial
-  // merge order, breaking cross-K byte-identity.
   if (now() + cfg_.expiry_sweep_interval <= cfg_.end_time) {
-    sched_in(0, cfg_.expiry_sweep_interval, EventKind::kExpirySweep);
+    events_.schedule_typed_in(cfg_.expiry_sweep_interval,
+                              EventKind::kExpirySweep);
   }
 }
 
@@ -696,8 +658,7 @@ void PacketSimulator::apply_fault(std::size_t index) {
             ? faults::FaultInjector::pack_end(
                   ap.kind, static_cast<std::uint32_t>(index))
             : faults::FaultInjector::pack_end(ap.kind, ap.target);
-    sched_at(fault_anchor(graph_, ap.kind, ap.target), ap.until,
-             EventKind::kFaultEnd, payload);
+    events_.schedule_typed(ap.until, EventKind::kFaultEnd, payload);
   }
   switch (ap.kind) {
     case faults::FaultKind::kNodeDown:
@@ -755,7 +716,7 @@ void PacketSimulator::start_jam(std::size_t index) {
   batch.plan_index = index;
   batch.edge = e;
   if (!faults_->edge_closed(e)) {
-    core::Channel& ch = owned_channel(e);
+    core::Channel& ch = net_.channel(e);
     for (const core::Side side : {core::Side::kA, core::Side::kB}) {
       const auto lock = static_cast<core::Amount>(
           ev.magnitude * static_cast<double>(ch.balance(side)));
@@ -779,7 +740,7 @@ void PacketSimulator::release_jam(std::size_t batch_index) {
   const JamBatch batch = std::move(jam_batches_[batch_index]);
   jam_batches_.erase(jam_batches_.begin() +
                      static_cast<std::ptrdiff_t>(batch_index));
-  core::Channel& ch = owned_channel(batch.edge);
+  core::Channel& ch = net_.channel(batch.edge);
   for (const auto& [hid, amount] : batch.holds) {
     ch.fail_htlc(hid);  // abort at deadline: the lock refunds its side
     held_amount_ -= amount;
@@ -797,7 +758,7 @@ void PacketSimulator::fail_node_queues(core::NodeId v) {
   // node_down), so the drain terminates; the outer loop re-checks the
   // O(1) counter in case a cascade enqueued before this sweep reached
   // a later arc.
-  core::Router& r = owned_router(v);
+  core::Router& r = routers_[v];
   while (r.queued_units() > 0) {
     for (std::size_t i = 0; i < r.arc_count(); ++i) {
       while (const auto qu = r.pop_local(i)) {
@@ -856,8 +817,7 @@ void PacketSimulator::fault_kill_unit(core::SlabHandle h) {
     // Waiting in a router queue: remove the entry so no ghost can block
     // the queue head once the slab slot is released.
     const graph::ArcId arc = st->path->arcs[st->hop];
-    if (owned_router(graph_.tail(arc)).erase(arc, st->unit.id,
-                                             st->unit.amount)) {
+    if (routers_[graph_.tail(arc)].erase(arc, st->unit.id, st->unit.amount)) {
       --total_queued_units_;
       total_queued_amount_ -= st->unit.amount;
     }
@@ -890,7 +850,7 @@ void PacketSimulator::sample_series() {
         core::to_units(net_.channel(e).imbalance()));
   }
   if (now() + cfg_.series_bucket <= cfg_.end_time) {
-    sched_in(0, cfg_.series_bucket, EventKind::kSeriesSample);
+    events_.schedule_typed_in(cfg_.series_bucket, EventKind::kSeriesSample);
   }
 }
 
@@ -902,17 +862,7 @@ void PacketSimulator::arm_auditor() {
   const auto hook = [](void* ctx, TimePoint now, std::uint64_t processed) {
     static_cast<InvariantAuditor*>(ctx)->on_event(now, processed);
   };
-  if (pdes_ != nullptr) {
-    // Sharded runs additionally reconcile the engine's O(1) pending
-    // counter against a walk of per-shard heaps + staged runs +
-    // mailboxes + hot lane -- a single-heap recount would false-
-    // positive on every mailbox-resident event.
-    a.add_check("pdes-event-accounting",
-                [this] { return pdes_->audit_event_accounting(); });
-    pdes_->set_post_event_hook(hook, &a);
-  } else {
-    events_.set_post_event_hook(hook, &a);
-  }
+  events_.set_post_event_hook(hook, &a);
 }
 
 std::optional<std::string> PacketSimulator::audit_queue_counters() const {
@@ -957,8 +907,7 @@ void PacketSimulator::begin_run() {
     const std::vector<faults::FaultEvent>& plan = faults_->plan().events();
     for (std::size_t i = 0; i < plan.size(); ++i) {
       if (plan[i].time > cfg_.end_time) continue;
-      sched_at(fault_anchor(graph_, plan[i].kind, plan[i].target),
-               plan[i].time, EventKind::kFaultStart, i);
+      events_.schedule_typed(plan[i].time, EventKind::kFaultStart, i);
     }
   }
 }
@@ -978,7 +927,7 @@ Metrics PacketSimulator::run() {
   // Sequence numbers in submission (pid) order, exactly as a loop of
   // schedule_typed calls would have assigned them; then sort by fire
   // order and keep just the head in the heap.
-  const std::uint64_t seq0 = reserve_event_seqs(arrivals_.size());
+  const std::uint64_t seq0 = events_.reserve_seqs(arrivals_.size());
   for (std::size_t i = 0; i < arrivals_.size(); ++i) {
     arrivals_[i].seq = seq0 + i;
   }
@@ -988,20 +937,16 @@ Metrics PacketSimulator::run() {
               return x.seq < y.seq;
             });
   if (!arrivals_.empty()) {
-    sched_reserved(requests_[arrivals_[0].pid].src, arrivals_[0].time,
-                   EventKind::kArrival, arrivals_[0].seq, arrivals_[0].pid);
+    events_.schedule_typed_reserved(arrivals_[0].time, EventKind::kArrival,
+                                    arrivals_[0].seq, arrivals_[0].pid);
   }
-  sched_at(0, cfg_.expiry_sweep_interval, EventKind::kExpirySweep);
+  events_.schedule_typed(cfg_.expiry_sweep_interval, EventKind::kExpirySweep);
   if (cfg_.collect_series) {
     metrics_.series_bucket = cfg_.series_bucket;
     metrics_.channel_imbalance_series.assign(graph_.edge_count(), {});
-    sched_at(0, cfg_.series_bucket, EventKind::kSeriesSample);
+    events_.schedule_typed(cfg_.series_bucket, EventKind::kSeriesSample);
   }
-  if (pdes_ != nullptr) {
-    pdes_->run_until(cfg_.end_time);
-  } else {
-    events_.run_until(cfg_.end_time);
-  }
+  events_.run_until(cfg_.end_time);
   if (cfg_.auditor != nullptr) {
     cfg_.auditor->finish(now(), events_processed());
   }
@@ -1041,11 +986,11 @@ void PacketSimulator::start_service(ArrivalSource source, void* ctx) {
   arrival_source_ = source;
   arrival_ctx_ = ctx;
   begin_run();
-  sched_at(0, cfg_.expiry_sweep_interval, EventKind::kExpirySweep);
+  events_.schedule_typed(cfg_.expiry_sweep_interval, EventKind::kExpirySweep);
   if (cfg_.collect_series) {
     metrics_.series_bucket = cfg_.series_bucket;
     metrics_.channel_imbalance_series.assign(graph_.edge_count(), {});
-    sched_at(0, cfg_.series_bucket, EventKind::kSeriesSample);
+    events_.schedule_typed(cfg_.series_bucket, EventKind::kSeriesSample);
   }
   // Prime the pump: the first pull happens here, every later pull
   // happens inside the previous arrival's dispatch.
@@ -1086,7 +1031,7 @@ core::PaymentId PacketSimulator::stream_submit(const core::PaymentRequest& req) 
   ++txns_streamed_;
   ++metrics_.attempted;
   metrics_.attempted_volume += req.amount;
-  sched_at(req.src, req.arrival, EventKind::kArrival, pid);
+  events_.schedule_typed(req.arrival, EventKind::kArrival, pid);
   return pid;
 }
 
@@ -1095,11 +1040,7 @@ void PacketSimulator::run_service_until(TimePoint t) {
     throw std::logic_error("PacketSimulator: run_service_until outside service");
   }
   const TimePoint stop = std::min(t, cfg_.end_time);
-  if (pdes_ != nullptr) {
-    pdes_->run_until(stop);
-  } else {
-    events_.run_until(stop);
-  }
+  events_.run_until(stop);
 }
 
 void PacketSimulator::classify_payment(core::PaymentId pid) {
@@ -1191,11 +1132,7 @@ std::uint64_t PacketSimulator::state_checksum() const {
     mix(static_cast<std::uint64_t>(ch.pending(core::Side::kA)));
     mix(static_cast<std::uint64_t>(ch.pending(core::Side::kB)));
   }
-  // Canonical (seq-sorted) engine digest: agrees across shard counts
-  // and with the serial engine, so a snapshot taken at K shards
-  // validates on restore at K'.
-  mix(pdes_ != nullptr ? pdes_->canonical_checksum()
-                       : events_.canonical_checksum());
+  mix(events_.canonical_checksum());
   return h;
 }
 

@@ -23,7 +23,6 @@
 // Used by the architecture examples, the packet-vs-flow ablation bench,
 // and the end-to-end tests of core/ (channel, transport, router, htlc).
 
-#include <cassert>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -41,7 +40,6 @@
 #include "graph/paths.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/metrics.hpp"
-#include "sim/shard.hpp"
 
 namespace spider::faults {
 class FaultInjector;  // faults/injector.hpp
@@ -91,12 +89,8 @@ struct PacketSimConfig {
   bool collect_series = false;
   double series_bucket = 5.0;
 
-  /// Host congestion control; see CongestionControlMode. The legacy
-  /// bool is an alias for kFailureWindow kept for existing call sites:
-  /// it applies only while `cc_mode` is kNone, so setting kSpiderCc
-  /// always wins.
+  /// Host congestion control; see CongestionControlMode.
   CongestionControlMode cc_mode = CongestionControlMode::kNone;
-  bool enable_congestion_control = false;
   double cc_initial_window = 4.0;
   double cc_max_window = 64.0;
 
@@ -146,20 +140,6 @@ struct PacketSimConfig {
   /// nothing and leaves the run byte-identical to `faults == nullptr`.
   /// Must outlive run().
   faults::FaultInjector* faults = nullptr;
-
-  /// Router shard count for the deterministic PDES engine (sim/shard.hpp,
-  /// DESIGN.md §12). 0 runs the classic serial EventQueue; K >= 1
-  /// partitions routers into K contiguous shards with epoch-barrier
-  /// mailbox commits (clamped to the node count). Metrics are
-  /// byte-identical at ANY shard count -- including K = 1 vs the serial
-  /// engine -- by the engine's (time, seq) merge-order contract; the
-  /// differential suite pins this.
-  std::uint32_t shards = 0;
-  /// Barrier parallelism hook for the sharded engine's epoch
-  /// maintenance (mailbox commits + run staging), typically bound to an
-  /// exp::Runner::for_each. Null runs barriers serially; results are
-  /// byte-identical either way.
-  ShardedEngine::ParallelFor shard_parallel_for = nullptr;
 };
 
 class PacketSimulator {
@@ -229,18 +209,10 @@ class PacketSimulator {
   // ------------------------------------------------------------------
 
   [[nodiscard]] const core::ChannelNetwork& network() const { return net_; }
-  [[nodiscard]] TimePoint now() const {
-    return pdes_ != nullptr ? pdes_->now() : events_.now();
-  }
+  [[nodiscard]] TimePoint now() const { return events_.now(); }
   /// Discrete events executed so far (the unit of events/sec benches).
-  /// Identical for the serial and sharded engines on the same inputs --
-  /// they execute the same event sequence.
   [[nodiscard]] std::uint64_t events_processed() const {
-    return pdes_ != nullptr ? pdes_->processed() : events_.processed();
-  }
-  /// The sharded PDES engine, or nullptr in classic serial mode.
-  [[nodiscard]] const ShardedEngine* shard_engine() const {
-    return pdes_.get();
+    return events_.processed();
   }
 
   /// Total value sitting in router queues right now. O(1).
@@ -292,60 +264,9 @@ class PacketSimulator {
   };
   static constexpr std::uint32_t kNoPair = ~std::uint32_t{0};
 
-  /// Typed-event sink registered with the active engine (serial
-  /// EventQueue or sharded PDES engine -- both call with the same
-  /// signature in the same global order).
+  /// Typed-event sink registered with the EventQueue.
   static void dispatch(void* ctx, EventKind kind, std::uint64_t a,
                        std::uint64_t b);
-
-  // --- engine facade -------------------------------------------------
-  // One scheduling surface over both engines. `anchor` is the router
-  // whose shard owns the event (ignored in serial mode): a hop advance
-  // anchors at the arc's head (where the unit lands), an ack at the
-  // sender, an arrival at the paying host, a fault at its target,
-  // global sweeps/samples at node 0.
-  void sched_at(core::NodeId anchor, TimePoint t, EventKind kind,
-                std::uint64_t a = 0, std::uint64_t b = 0) {
-    if (pdes_ != nullptr) {
-      pdes_->schedule_typed(anchor, t, kind, a, b);
-    } else {
-      events_.schedule_typed(t, kind, a, b);
-    }
-  }
-  void sched_in(core::NodeId anchor, TimePoint delay, EventKind kind,
-                std::uint64_t a = 0, std::uint64_t b = 0) {
-    sched_at(anchor, now() + delay, kind, a, b);
-  }
-  void sched_reserved(core::NodeId anchor, TimePoint t, EventKind kind,
-                      std::uint64_t seq, std::uint64_t a = 0) {
-    if (pdes_ != nullptr) {
-      pdes_->schedule_typed_reserved(anchor, t, kind, seq, a);
-    } else {
-      events_.schedule_typed_reserved(t, kind, seq, a);
-    }
-  }
-  std::uint64_t reserve_event_seqs(std::uint64_t count) {
-    return pdes_ != nullptr ? pdes_->reserve_seqs(count)
-                            : events_.reserve_seqs(count);
-  }
-
-  /// Owning-shard accessor for router state (DESIGN.md §12): all
-  /// mutations of a router must flow through here (enforced by the
-  /// `shard-state` lint rule). Asserts the engine is not inside an
-  /// epoch barrier -- barrier tasks may touch only engine-internal
-  /// structures (heaps, mailboxes), never simulator state.
-  core::Router& owned_router(core::NodeId v) {
-    assert(pdes_ == nullptr || !pdes_->in_barrier());
-    return routers_[v];
-  }
-  /// Owning-shard accessor for channel state; same contract as
-  /// owned_router (a channel is owned jointly by its endpoints' shards;
-  /// mutations happen only while one of them is executing).
-  core::Channel& owned_channel(graph::EdgeId e) {
-    assert(pdes_ == nullptr || !pdes_->in_barrier());
-    return net_.channel(e);
-  }
-  // ------------------------------------------------------------------
 
   /// Shared run()/start_service() preamble: auditor, fault plan,
   /// expiry sweep, series sampling.
@@ -466,9 +387,6 @@ class PacketSimulator {
   std::unique_ptr<core::ChannelNetwork> stale_net_;
 
   EventQueue events_;
-  /// Sharded PDES engine (cfg_.shards >= 1); null in classic serial
-  /// mode. Exactly one of events_/pdes_ drives a run.
-  std::unique_ptr<ShardedEngine> pdes_;
   std::vector<core::PaymentRequest> requests_;
   std::vector<std::unique_ptr<core::Transport>> transports_;  // per node
   std::vector<core::Router> routers_;                         // per node

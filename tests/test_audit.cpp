@@ -134,7 +134,7 @@ TEST(InvariantAuditor, CleanPacketSimRunHasZeroViolations) {
   PacketSimConfig cfg;
   cfg.end_time = 40.0;
   cfg.seed = 3;
-  cfg.enable_congestion_control = true;
+  cfg.cc_mode = CongestionControlMode::kFailureWindow;
   cfg.auditor = &auditor;
   PacketSimulator sim(g, std::vector<Amount>(g.edge_count(), from_units(50)),
                       cfg);

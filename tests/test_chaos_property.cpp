@@ -91,7 +91,7 @@ TEST(ChaosFlow, SameSeedIsByteIdentical) {
   }
 }
 
-sim::Metrics run_packet_chaos(std::size_t seed, std::uint32_t shards = 0) {
+sim::Metrics run_packet_chaos(std::size_t seed) {
   const graph::Graph g = (seed % 2 == 0) ? graph::topology::make_ring(8)
                                          : graph::topology::make_line(6);
   faults::FaultProfile profile =
@@ -108,12 +108,12 @@ sim::Metrics run_packet_chaos(std::size_t seed, std::uint32_t shards = 0) {
   cfg.end_time = 25.0;
   cfg.seed = 1000 + seed;
   // Cycle all three congestion-control modes through the fault storm:
-  // ungated, the legacy failure-window alias, and spider-cc with its
+  // ungated, the failure-driven window, and spider-cc with its
   // marking/AIMD/timeout machinery (aggressive knobs so marks and
   // per-launch timeouts actually fire against the fault schedules).
   switch (seed % 3) {
     case 1:
-      cfg.enable_congestion_control = true;  // kFailureWindow alias
+      cfg.cc_mode = sim::CongestionControlMode::kFailureWindow;
       break;
     case 2:
       cfg.cc_mode = sim::CongestionControlMode::kSpiderCc;
@@ -126,7 +126,6 @@ sim::Metrics run_packet_chaos(std::size_t seed, std::uint32_t shards = 0) {
   }
   cfg.faults = &injector;
   cfg.auditor = &auditor;
-  cfg.shards = shards;
   sim::PacketSimulator sim(
       g,
       std::vector<core::Amount>(g.edge_count(), core::from_units(60)),
@@ -147,15 +146,9 @@ sim::Metrics run_packet_chaos(std::size_t seed, std::uint32_t shards = 0) {
 }
 
 TEST(ChaosPacket, RandomSchedulesKeepInvariantsUnderStrictAudit) {
-  // Shard counts cycle with the schedules (0 = classic serial engine),
-  // so every fault family meets every engine configuration across the
-  // 100 packet schedules — all under the throwing auditor, including
-  // its sharded-run pdes-event-accounting check.
-  constexpr std::uint32_t kShardCycle[] = {0, 1, 2, 4};
   for (std::size_t seed = 0; seed < kPacketSchedules; ++seed) {
-    ASSERT_NO_THROW((void)run_packet_chaos(seed, kShardCycle[seed % 4]))
-        << "schedule seed " << seed << " shards " << kShardCycle[seed % 4]
-        << " profile " << chaos_profile(seed);
+    ASSERT_NO_THROW((void)run_packet_chaos(seed))
+        << "schedule seed " << seed << " profile " << chaos_profile(seed);
   }
 }
 
@@ -164,16 +157,6 @@ TEST(ChaosPacket, SameSeedIsByteIdentical) {
     const sim::Metrics a = run_packet_chaos(seed);
     const sim::Metrics b = run_packet_chaos(seed);
     EXPECT_EQ(a, b) << "schedule seed " << seed;
-  }
-}
-
-TEST(ChaosPacket, ShardCountNeverChangesChaosOutcomes) {
-  // The fault storms must be byte-identical across engines: serial vs
-  // 2-shard vs 4-shard, full sim::Metrics equality per seed.
-  for (std::size_t seed = 0; seed < 10; ++seed) {
-    const sim::Metrics serial = run_packet_chaos(seed, 0);
-    EXPECT_EQ(run_packet_chaos(seed, 2), serial) << "seed " << seed;
-    EXPECT_EQ(run_packet_chaos(seed, 4), serial) << "seed " << seed;
   }
 }
 
@@ -193,11 +176,10 @@ void expect_channels_quiescent_and_conserved(
   }
 }
 
-TEST(ChaosPacket, CrossShardRefundConservesValue) {
-  // line-6 at K=2 splits ownership {0,1,2} | {3,4,5}. A payment from
-  // node 0 to node 5 locks hops in both shards, then starves at the
-  // last (deliberately tiny) channel, queues in shard 1, expires there,
-  // and refunds its upstream holds back across the shard boundary.
+TEST(ChaosPacket, ExpiredMultiHopUnitRefundConservesValue) {
+  // A payment from node 0 to node 5 on line-6 locks four hops, then
+  // starves at the last (deliberately tiny) channel, queues at node 4,
+  // expires there, and refunds every upstream hold back to the sender.
   const graph::Graph g = graph::topology::make_line(6);
   std::vector<core::Amount> caps(g.edge_count(), core::from_units(100));
   caps[4] = core::from_units(4);  // 4--5 can never carry a 10-unit lock
@@ -209,7 +191,6 @@ TEST(ChaosPacket, CrossShardRefundConservesValue) {
 
   sim::PacketSimConfig cfg;
   cfg.end_time = 20.0;
-  cfg.shards = 2;
   cfg.auditor = &auditor;
   sim::PacketSimulator sim(g, caps, cfg);
 
@@ -222,26 +203,15 @@ TEST(ChaosPacket, CrossShardRefundConservesValue) {
   sim.submit(req);
   const sim::Metrics m = sim.run();
 
-  ASSERT_NE(sim.shard_engine(), nullptr);
-  EXPECT_EQ(sim.shard_engine()->plan().shard_of(2), 0u);
-  EXPECT_EQ(sim.shard_engine()->plan().shard_of(3), 1u);
   EXPECT_EQ(m.failed, 1u);  // the unit could not be delivered
   EXPECT_EQ(sim.queued_units(), 0u);
   expect_channels_quiescent_and_conserved(sim.network(), g, caps);
-  // Same story, serial engine: byte-identical metrics.
-  sim::PacketSimConfig scfg = cfg;
-  scfg.auditor = nullptr;
-  scfg.shards = 0;
-  sim::PacketSimulator serial(g, caps, scfg);
-  serial.submit(req);
-  EXPECT_EQ(serial.run(), m);
 }
 
-TEST(ChaosPacket, ForeignShardHtlcExpiryReleasesHoldExactlyOnce) {
-  // Spider-cc per-launch timeout: units from shard-0 hosts get stuck in
-  // a shard-1 router queue; the global expiry sweep (anchored at node
-  // 0, executing in shard 0's range of the merge) drops them inside
-  // what is a *foreign* epoch slice for their holds. Each hold must
+TEST(ChaosPacket, CcTimeoutExpiryReleasesEachHoldExactlyOnce) {
+  // Spider-cc per-launch timeout: units from node 0 get stuck in node
+  // 3's router queue, holding locks on the three hops behind them, and
+  // the expiry sweep drops them there for a retry. Each hold must
   // release exactly once -- conservation after the run plus the strict
   // auditor (every event) prove no double release and no leak.
   const graph::Graph g = graph::topology::make_line(6);
@@ -255,9 +225,8 @@ TEST(ChaosPacket, ForeignShardHtlcExpiryReleasesHoldExactlyOnce) {
 
   sim::PacketSimConfig cfg;
   cfg.end_time = 30.0;
-  cfg.shards = 2;
   cfg.cc_mode = sim::CongestionControlMode::kSpiderCc;
-  cfg.cc_unit_timeout = 1.5;  // timeouts fire while queued cross-shard
+  cfg.cc_unit_timeout = 1.5;  // timeouts fire while queued
   cfg.auditor = &auditor;
   sim::PacketSimulator sim(g, caps, cfg);
 
@@ -272,20 +241,9 @@ TEST(ChaosPacket, ForeignShardHtlcExpiryReleasesHoldExactlyOnce) {
   }
   const sim::Metrics m = sim.run();
 
-  EXPECT_GT(m.cc_timeout_retries, 0u);  // foreign-epoch expiries fired
+  EXPECT_GT(m.cc_timeout_retries, 0u);  // queued expiries fired
   EXPECT_EQ(sim.queued_units(), 0u);
   expect_channels_quiescent_and_conserved(sim.network(), g, caps);
-  // And the whole storm is byte-identical to the serial engine.
-  sim::PacketSimConfig scfg = cfg;
-  scfg.auditor = nullptr;
-  scfg.shards = 0;
-  sim::PacketSimulator serial(g, caps, scfg);
-  for (std::size_t i = 0; i < 4; ++i) {
-    req.arrival = 0.2 + 0.1 * static_cast<double>(i);
-    req.deadline = req.arrival + 8.0;
-    serial.submit(req);
-  }
-  EXPECT_EQ(serial.run(), m);
 }
 
 // ---------------------------------------------------------------------
@@ -318,8 +276,7 @@ struct ServiceChaosResult {
   std::uint64_t txns = 0;
 };
 
-ServiceChaosResult run_service_chaos(std::size_t seed, std::uint32_t shards,
-                                     double chunk) {
+ServiceChaosResult run_service_chaos(std::size_t seed, double chunk) {
   const graph::Graph g = (seed % 2 == 0) ? graph::topology::make_ring(8)
                                          : graph::topology::make_line(6);
   static const char* const kStreams[] = {
@@ -347,7 +304,6 @@ ServiceChaosResult run_service_chaos(std::size_t seed, std::uint32_t shards,
   if (seed % 3 == 2) cfg.cc_mode = sim::CongestionControlMode::kSpiderCc;
   cfg.faults = &injector;
   cfg.auditor = &auditor;
-  cfg.shards = shards;
   sim::PacketSimulator sim(
       g,
       std::vector<core::Amount>(g.edge_count(), core::from_units(60)),
@@ -365,44 +321,28 @@ ServiceChaosResult run_service_chaos(std::size_t seed, std::uint32_t shards,
 }
 
 TEST(ChaosService, StreamedSchedulesKeepInvariantsUnderStrictAudit) {
-  // 100 seeded schedules x {steady, diurnal, flash} generators x the
-  // shard cycle, all under the throwing auditor.
-  constexpr std::uint32_t kShardCycle[] = {0, 1, 2, 4};
+  // 100 seeded schedules x {steady, diurnal, flash} generators, all
+  // under the throwing auditor.
   for (std::size_t seed = 0; seed < 100; ++seed) {
     const double chunk = 1.0 + 0.5 * static_cast<double>(seed % 5);
-    ASSERT_NO_THROW(
-        (void)run_service_chaos(seed, kShardCycle[seed % 4], chunk))
-        << "schedule seed " << seed << " shards " << kShardCycle[seed % 4]
-        << " profile " << chaos_profile(seed);
+    ASSERT_NO_THROW((void)run_service_chaos(seed, chunk))
+        << "schedule seed " << seed << " profile " << chaos_profile(seed);
   }
 }
 
-TEST(ChaosService, ChunkingAndShardsNeverChangeStreamedOutcomes) {
-  // Same seed, different driver strides and shard counts: metrics,
-  // stream position, and the canonical state checksum must all match.
+TEST(ChaosService, ChunkingNeverChangesStreamedOutcomes) {
+  // Same seed, different driver strides: metrics, stream position, and
+  // the canonical state checksum must all match.
   for (std::size_t seed = 0; seed < 6; ++seed) {
-    const ServiceChaosResult ref = run_service_chaos(seed, 0, 25.0);
+    const ServiceChaosResult ref = run_service_chaos(seed, 25.0);
     EXPECT_GT(ref.txns, 0u) << "seed " << seed;
-    const ServiceChaosResult fine = run_service_chaos(seed, 0, 0.7);
+    const ServiceChaosResult fine = run_service_chaos(seed, 0.7);
     EXPECT_EQ(fine.metrics, ref.metrics) << "seed " << seed;
     EXPECT_EQ(fine.checksum, ref.checksum) << "seed " << seed;
     EXPECT_EQ(fine.txns, ref.txns) << "seed " << seed;
-    const ServiceChaosResult sharded = run_service_chaos(seed, 2, 3.0);
-    EXPECT_EQ(sharded.metrics, ref.metrics) << "seed " << seed;
-    EXPECT_EQ(sharded.checksum, ref.checksum) << "seed " << seed;
-  }
-}
-
-TEST(ChaosPacket, AuditedShardedRunSeesMailboxResidentEvents) {
-  // Regression for the single-heap recount assumption: with the audit
-  // cadence at every event, checks run while hop/ack events sit in
-  // cross-shard mailboxes and the hot lane. The pdes-event-accounting
-  // check must reconcile heaps + staged runs + mailboxes + hot lane
-  // against the running counter -- a recount that walked one heap
-  // would throw here on the first cross-shard hop.
-  for (const std::size_t seed : {0UL, 1UL, 5UL}) {
-    ASSERT_NO_THROW((void)run_packet_chaos(seed, 3))
-        << "schedule seed " << seed;
+    const ServiceChaosResult coarse = run_service_chaos(seed, 3.0);
+    EXPECT_EQ(coarse.metrics, ref.metrics) << "seed " << seed;
+    EXPECT_EQ(coarse.checksum, ref.checksum) << "seed " << seed;
   }
 }
 

@@ -261,7 +261,7 @@ sim::Metrics run_packet(const graph::Graph& g, FaultInjector* inj) {
   sim::PacketSimConfig cfg;
   cfg.end_time = 40.0;
   cfg.seed = 3;
-  cfg.enable_congestion_control = true;
+  cfg.cc_mode = sim::CongestionControlMode::kFailureWindow;
   cfg.collect_series = true;
   cfg.faults = inj;
   sim::PacketSimulator sim(

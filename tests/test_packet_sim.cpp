@@ -174,7 +174,7 @@ TEST(PacketSim, CongestionControlStillDeliversEverything) {
   PacketSimConfig cfg;
   cfg.end_time = 60;
   cfg.mtu = from_units(5);
-  cfg.enable_congestion_control = true;
+  cfg.cc_mode = CongestionControlMode::kFailureWindow;
   cfg.cc_initial_window = 2.0;
   PacketSimulator sim(g, std::vector<Amount>(4, from_units(100)), cfg);
   sim.submit(payment(0, 2, 80, 1.0, PaymentKind::kNonAtomic));
@@ -192,7 +192,7 @@ TEST(PacketSim, CongestionControlPacesInjection) {
   PacketSimConfig cfg;
   cfg.end_time = 60;
   cfg.mtu = from_units(10);
-  cfg.enable_congestion_control = true;
+  cfg.cc_mode = CongestionControlMode::kFailureWindow;
   cfg.cc_initial_window = 2.0;
   cfg.cc_max_window = 2.0;  // clamp: no growth
   PacketSimulator sim(g, std::vector<Amount>(2, from_units(200)), cfg);
@@ -211,7 +211,7 @@ TEST(PacketSim, CongestionControlHandlesUnroutablePairs) {
   PacketSimConfig cfg;
   cfg.end_time = 20;
   cfg.mtu = from_units(5);
-  cfg.enable_congestion_control = true;
+  cfg.cc_mode = CongestionControlMode::kFailureWindow;
   PacketSimulator sim(g, std::vector<Amount>{from_units(100)}, cfg);
   sim.submit(payment(0, 2, 50, 1.0, PaymentKind::kNonAtomic));
   const Metrics m = sim.run();
@@ -233,7 +233,7 @@ TEST(PacketSim, CongestionControlAbandonsExpiredBacklogUnits) {
   PacketSimConfig cfg;
   cfg.end_time = 10;
   cfg.mtu = from_units(10);
-  cfg.enable_congestion_control = true;
+  cfg.cc_mode = CongestionControlMode::kFailureWindow;
   cfg.cc_initial_window = 1.0;
   cfg.cc_max_window = 1.0;  // clamp: keep the pair serialized
   PacketSimulator sim(g, std::vector<Amount>{from_units(100)}, cfg);
@@ -266,7 +266,7 @@ TEST(PacketSim, CongestionControlHalvesWindowOnSynchronousNoRouteFailure) {
   PacketSimConfig cfg;
   cfg.end_time = 20;
   cfg.mtu = from_units(1);
-  cfg.enable_congestion_control = true;
+  cfg.cc_mode = CongestionControlMode::kFailureWindow;
   cfg.cc_initial_window = 8.0;
   PacketSimulator sim(g, std::vector<Amount>{from_units(100)}, cfg);
   // 500 units: deep enough that un-guarded recursion through the drain
@@ -289,7 +289,7 @@ TEST(PacketSim, RoundRobinPathSelectionIsDeterministic) {
     cfg.end_time = 25;
     cfg.mtu = from_units(5);
     cfg.path_policy = UnitPathPolicy::kRoundRobin;
-    cfg.enable_congestion_control = true;
+    cfg.cc_mode = CongestionControlMode::kFailureWindow;
     cfg.seed = 7;
     PacketSimulator sim(
         g, std::vector<Amount>(g.edge_count(), from_units(80)), cfg);
@@ -436,36 +436,6 @@ TEST(PacketSim, SpiderCcKnobsAreInertWhenDisabled) {
   EXPECT_EQ(base, poisoned);
   EXPECT_EQ(std::get<7>(base), 0u);   // no marked acks
   EXPECT_EQ(std::get<9>(base), 0u);   // no timeout retries
-}
-
-TEST(PacketSim, SpiderCcModeMatchesLegacyBoolAlias) {
-  // The legacy `enable_congestion_control` bool and an explicit
-  // cc_mode = kFailureWindow must drive the identical simulation.
-  const auto run_once = [](bool use_enum) {
-    const graph::Graph g = graph::topology::make_isp32();
-    PacketSimConfig cfg;
-    cfg.end_time = 15;
-    cfg.mtu = from_units(5);
-    cfg.seed = 13;
-    if (use_enum) {
-      cfg.cc_mode = CongestionControlMode::kFailureWindow;
-    } else {
-      cfg.enable_congestion_control = true;
-    }
-    PacketSimulator sim(
-        g, std::vector<Amount>(g.edge_count(), from_units(100)), cfg);
-    for (int i = 0; i < 120; ++i) {
-      sim.submit(payment(static_cast<core::NodeId>(i % 32),
-                         static_cast<core::NodeId>((i * 7 + 3) % 32),
-                         2.0 + (i % 13), 0.1 * i, PaymentKind::kNonAtomic,
-                         /*deadline=*/0.1 * i + 10.0));
-    }
-    const Metrics m = sim.run();
-    return std::tuple(m.succeeded, m.partial, m.failed, m.delivered_volume,
-                      m.units_sent, m.sum_completion_latency,
-                      sim.events_processed());
-  };
-  EXPECT_EQ(run_once(false), run_once(true));
 }
 
 TEST(PacketSim, ConservationUnderLoad) {

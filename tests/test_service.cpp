@@ -1,8 +1,8 @@
 // Tests of the long-running service mode (DESIGN.md §13): the pull-
 // based stream generators (src/workload/stream.*), the streaming
 // driver's windowed metrics export, payment retirement, and the
-// replay-based snapshot/restore identity -- split at multiple points,
-// across shard counts {0, 2}, and under active fault schedules.
+// replay-based snapshot/restore identity -- split at multiple points
+// and under active fault schedules.
 
 #include "service/service.hpp"
 
@@ -259,10 +259,8 @@ TEST(Service, RetirementNeverChangesTheOutcome) {
   EXPECT_LT(sa.live_payments(), sb.live_payments());
 }
 
-/// Straight-through reference vs snapshot-at-`split`/restore/continue,
-/// optionally restoring at a different shard count.
-void expect_split_identity(const ServiceConfig& cfg, double split,
-                           int restore_shards = -1) {
+/// Straight-through reference vs snapshot-at-`split`/restore/continue.
+void expect_split_identity(const ServiceConfig& cfg, double split) {
   Service straight(cfg);
   const sim::Metrics ref = straight.finish();
   const std::uint64_t ref_checksum = straight.state_checksum();
@@ -270,12 +268,9 @@ void expect_split_identity(const ServiceConfig& cfg, double split,
   Service first(cfg);
   first.run(split);
   const exp::Json snap = exp::Json::parse(first.snapshot().dump());
-  std::unique_ptr<Service> second =
-      Service::restore(snap, nullptr, restore_shards);
-  EXPECT_EQ(second->finish(), ref)
-      << "split " << split << " shards " << restore_shards;
-  EXPECT_EQ(second->state_checksum(), ref_checksum)
-      << "split " << split << " shards " << restore_shards;
+  std::unique_ptr<Service> second = Service::restore(snap);
+  EXPECT_EQ(second->finish(), ref) << "split " << split;
+  EXPECT_EQ(second->state_checksum(), ref_checksum) << "split " << split;
   ASSERT_EQ(second->windows().size(), straight.windows().size());
   for (std::size_t i = 0; i < straight.windows().size(); ++i) {
     EXPECT_EQ(second->windows()[i].checksum, straight.windows()[i].checksum)
@@ -306,15 +301,22 @@ TEST(ServiceSnapshot, FlashSplitsAreByteIdentical) {
   }
 }
 
-TEST(ServiceSnapshot, RestoreAcrossShardCountsIsByteIdentical) {
-  // Snapshots taken on the serial engine restore under shards=2 (and
-  // vice versa): the canonical checksum is layout-independent.
-  for (const char* spec : kGeneratorSpecs) {
-    ServiceConfig cfg = small_service(spec);
-    expect_split_identity(cfg, 45.0, /*restore_shards=*/2);
-    cfg.shards = 2;
-    expect_split_identity(cfg, 45.0, /*restore_shards=*/0);
-  }
+TEST(ServiceSnapshot, RestoreIgnoresLegacyShardsKey) {
+  // Older spider-service-snapshot-v1 documents carry a "shards" engine
+  // knob. Every shard count ran byte-identically to the serial engine,
+  // so restore ignores the key and reproduces the uninterrupted run.
+  const ServiceConfig cfg = small_service(kGeneratorSpecs[0]);
+  Service straight(cfg);
+  const sim::Metrics ref = straight.finish();
+
+  Service first(cfg);
+  first.run(45.0);
+  exp::Json snap = exp::Json::parse(first.snapshot().dump());
+  EXPECT_EQ(snap.find("shards"), nullptr);
+  snap.set("shards", std::uint64_t{2});
+  std::unique_ptr<Service> second = Service::restore(snap);
+  EXPECT_EQ(second->finish(), ref);
+  EXPECT_EQ(second->state_checksum(), straight.state_checksum());
 }
 
 TEST(ServiceSnapshot, SplitsUnderActiveFaultsAreByteIdentical) {
@@ -324,7 +326,6 @@ TEST(ServiceSnapshot, SplitsUnderActiveFaultsAreByteIdentical) {
       "grief=0.03;griefhold=5;huboutage=0.02;hubdown=6;seed=17");
   for (const double split : {30.0, 60.0}) {
     expect_split_identity(cfg, split);
-    expect_split_identity(cfg, split, /*restore_shards=*/2);
   }
 }
 

@@ -3,9 +3,9 @@
 
 The simulator's published numbers rest on a contract the compiler cannot
 see: same-seed runs are bit-for-bit deterministic, no code path depends
-on iteration order, wall-clock time, or platform randomness, and -- the
-PDES refactor's precondition -- no shared mutable state exists outside
-the annotated worker-pool internals. This linter enforces the mechanical
+on iteration order, wall-clock time, or platform randomness, and no
+shared mutable state exists outside the annotated worker-pool
+internals. This linter enforces the mechanical
 half of that contract over `src/`, `bench/`, and `examples/` (see
 tools/lint/lint_rules.md for the rule catalogue and DESIGN.md §7/§11 for
 the policy).
@@ -87,37 +87,6 @@ HOT_ALLOC_RE = re.compile(
     r"\b(?:std::)?(?:vector|deque|list|set|map|multiset|multimap"
     r"|unordered_set|unordered_map|priority_queue|string)\s*"
     r"<[^;(){}]*>\s+[A-Za-z_]\w*\s*\(([^)]*)"
-)
-# Opt-in marker for the shard-state rule: simulator translation units
-# whose router/channel state is partitioned across PDES shards
-# (DESIGN.md §12) declare themselves with
-# `// spider-lint: shard-state-file`; every mutation of that state must
-# then go through the owning-shard accessors.
-SHARD_STATE_MARKER_RE = re.compile(r"//\s*spider-lint:\s*shard-state-file\b")
-# Mutating methods of core::Router / core::Channel (the sharded state).
-# Reads are free; these change queue contents, HTLC holds, or marking
-# state and therefore must happen in the owning shard's execution slice.
-SHARD_MUTATORS = (
-    "push_local|pop_local|drop_expired|offer_htlc|settle_htlc|fail_htlc"
-    "|configure_marking|observe_delay_local"
-)
-# The sanctioned access path: `owned_router(v)` / `owned_channel(e)`
-# (assert ownership, then mutate).
-OWNED_ACCESSOR_RE = re.compile(r"\bowned_(?:router|channel)\s*\(")
-# A reference bound to an accessor result -- mutations through the bound
-# name are sanctioned for the rest of the file (the linter does not
-# track scopes; rebinding the same name to raw state elsewhere defeats
-# it, which code review owns).
-OWNED_BIND_RE = re.compile(
-    r"\b(?:(?:core::)?(?:Router|Channel)|auto)\s*&\s*([A-Za-z_]\w*)\s*=\s*"
-    r"owned_(?:router|channel)\s*\("
-)
-# A mutator call, with its receiver when written on the same line:
-# `name.push_local(`, `name[i]->drop_expired(`, or a bare/wrapped
-# `.offer_htlc(` continuation (receiver group absent).
-SHARD_CALL_RE = re.compile(
-    r"(?:\b([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?\s*(?:\.|->)\s*)?"
-    r"\b(?:" + SHARD_MUTATORS + r")\s*\("
 )
 # Construction of a std RNG engine or distribution.
 STD_RNG_RE = re.compile(
@@ -208,9 +177,8 @@ def looks_like_params(args: str) -> bool:
     return True
 
 # Known-safe shared state. Every entry is (path suffix, identifier,
-# why). Keep this list short: the PDES contract (DESIGN.md §11) wants
-# zero mutable globals, and an allowlist entry is a debt the PDES
-# refactor must pay down.
+# why). Keep this list short: the determinism contract (DESIGN.md §11)
+# wants zero mutable globals, and every allowlist entry is a debt.
 MUTABLE_GLOBAL_ALLOWLIST: list[tuple[str, str, str]] = []
 
 
@@ -271,14 +239,6 @@ RULES = [
         "PathFinder style) so hot query loops do not allocate",
     ),
     Rule(
-        "shard-state",
-        "router/channel mutation bypassing the owning-shard accessor in "
-        "a `// spider-lint: shard-state-file`: under the PDES engine "
-        "(DESIGN.md §12) state writes are legal only in the owning "
-        "shard's execution slice; route them through owned_router()/"
-        "owned_channel()",
-    ),
-    Rule(
         "fault-sampling",
         "ad-hoc RNG next to fault types outside src/faults/: fault "
         "schedules must come from faults::generate_plan (per-kind salted "
@@ -287,8 +247,9 @@ RULES = [
     Rule(
         "mutable-global",
         "mutable namespace-scope/static/thread_local state: shared "
-        "mutable state is the core PDES hazard; pass state through "
-        "configs/locals or allowlist with a justification",
+        "mutable state races across exp::Runner worker threads and "
+        "couples trials; pass state through configs/locals or "
+        "allowlist with a justification",
     ),
     Rule(
         "rng-seed",
@@ -317,9 +278,6 @@ RULE_NAMES = {r.name for r in RULES}
 MULTI_PASS_RULES = {"mutable-global", "rng-seed", "runner-capture", "guarded-by"}
 
 SUGGESTIONS = {
-    "shard-state": "mutate through the accessor -- "
-    "`owned_router(v).push_local(...)` -- or bind a reference first: "
-    "`core::Router& r = owned_router(v);`",
     "mutable-global": "move the state into a config/struct passed by "
     "value, or add `// spider-lint: allow(mutable-global) <why safe>`",
     "rng-seed": "seed from the trial chain: "
@@ -571,17 +529,6 @@ class FileLinter:
         self.hot_path_file = any(
             HOT_PATH_MARKER_RE.search(raw) for raw in self.raw_lines
         )
-        # Shard-state files opt into the owning-shard accessor rule the
-        # same way. References bound to accessor results anywhere in the
-        # file sanction mutations through that name.
-        self.shard_state_file = any(
-            SHARD_STATE_MARKER_RE.search(raw) for raw in self.raw_lines
-        )
-        self.owned_refs: set[str] = set()
-        if self.shard_state_file:
-            for code in self.code_lines:
-                for m in OWNED_BIND_RE.finditer(code):
-                    self.owned_refs.add(m.group(1))
 
     def report(self, lineno: int, rule: str, message: str) -> None:
         if not is_allowed(self.raw_lines, lineno, rule):
@@ -598,7 +545,6 @@ class FileLinter:
             self.check_float(i, code)
             self.check_ptr_key(i, code)
             self.check_hot_alloc(i, code)
-            self.check_shard_state(i, code)
             self.check_fault_sampling(i, code)
         return self.findings
 
@@ -693,40 +639,6 @@ class FileLinter:
             "container constructed per call in a hot-path file; hoist "
             "into reusable scratch or allowlist with a justification",
         )
-
-    def check_shard_state(self, i: int, code: str) -> None:
-        # Only in files that opted in with the shard-state-file marker:
-        # every call of a Router/Channel mutator must go through
-        # owned_router()/owned_channel() -- inline on the line, via a
-        # reference previously bound to an accessor result, or (for
-        # wrapped calls) via an accessor on one of the two lines above.
-        if not self.shard_state_file:
-            return
-        if OWNED_ACCESSOR_RE.search(code):
-            return  # the sanctioned inline shape (or a binding line)
-        for m in SHARD_CALL_RE.finditer(code):
-            receiver = m.group(1)
-            if receiver is not None:
-                if receiver in self.owned_refs:
-                    continue
-            else:
-                # A type token before the name means this *declares* a
-                # mutator (`void push_local(int);`), not a call.
-                if re.search(r"[\w>&\]]\s+$", code[:m.start()]):
-                    continue
-                # `.mutator(` with the receiver wrapped onto an earlier
-                # line, or an unqualified call: accept when an accessor
-                # appears just above, otherwise flag.
-                above = " ".join(self.code_lines[max(0, i - 2):i])
-                if OWNED_ACCESSOR_RE.search(above):
-                    continue
-            self.report(
-                i,
-                "shard-state",
-                "router/channel state mutated without the owning-shard "
-                "accessor; use owned_router()/owned_channel() so the "
-                "write is pinned to the owning shard's execution slice",
-            )
 
     def check_fault_sampling(self, i: int, code: str) -> None:
         # A file that names fault types AND constructs a std RNG engine
@@ -906,8 +818,8 @@ class MultiPassAnalyzer:
             i,
             "mutable-global",
             f"{keyword} mutable state '{name}': shared across threads "
-            "and trials; the PDES contract forbids it outside the "
-            "allowlist",
+            "and trials; the determinism contract forbids it outside "
+            "the allowlist",
         )
 
     def check_namespace_decl(self, i: int, code: str) -> None:
@@ -947,7 +859,7 @@ class MultiPassAnalyzer:
             i,
             "mutable-global",
             f"namespace-scope mutable variable '{name}': global state "
-            "breaks trial isolation and the PDES shard contract",
+            "breaks trial isolation and the determinism contract",
         )
 
     # -- rule: rng-seed -----------------------------------------------

@@ -1,6 +1,6 @@
 // Golden bad snippet: mutable namespace-scope / static / thread_local
 // state. Every marked line must fire [mutable-global] -- shared mutable
-// state outside the annotated pool is the core PDES hazard.
+// state outside the annotated pool races across worker threads.
 #include <cstdint>
 #include <vector>
 

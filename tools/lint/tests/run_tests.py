@@ -65,7 +65,6 @@ def main() -> int:
     expect_fires("bad_ptr_key.cpp", ["ptr-key-order"])
     expect_fires("bad_fault_sampling.cpp", ["fault-sampling"])
     expect_fires("bad_hot_alloc.cpp", ["hot-loop-alloc"])
-    expect_fires("bad_shard_state.cpp", ["shard-state"])
     expect_fires("bad_mutable_global.cpp", ["mutable-global"])
     expect_fires("bad_rng_seed.cpp", ["rng-seed"])
     expect_fires("bad_runner_capture.cpp", ["runner-capture"])
@@ -73,7 +72,6 @@ def main() -> int:
     expect_clean("good_allowlist.cpp")
     expect_clean("good_clean.cpp")
     expect_clean("good_hot_alloc_unmarked.cpp")
-    expect_clean("good_shard_state.cpp")
     expect_clean("good_mutable_global.cpp")
     expect_clean("good_rng_seed.cpp")
     expect_clean("good_runner_capture.cpp")
@@ -91,22 +89,6 @@ def main() -> int:
     # construction stay clean.
     code, out = run_lint(os.path.join(HERE, "bad_hot_alloc.cpp"))
     check("bad_hot_alloc.cpp: 2 findings", out.count("[hot-loop-alloc]") == 2, out)
-
-    # shard-state: exactly the five bypassing mutations fire; the
-    # fixture's untracked binding line itself stays clean (binding a
-    # reference is not a mutation).
-    code, out = run_lint(os.path.join(HERE, "bad_shard_state.cpp"))
-    check("bad_shard_state.cpp: 5 findings", out.count("[shard-state]") == 5, out)
-    # And without the marker the same mutations are no finding: the rule
-    # is opt-in per file, like hot-loop-alloc.
-    with tempfile.TemporaryDirectory() as td:
-        unmarked = os.path.join(td, "unmarked_shard_state.cpp")
-        with open(os.path.join(HERE, "bad_shard_state.cpp"), encoding="utf-8") as fh:
-            body = fh.read().splitlines(keepends=True)[1:]  # drop the marker
-        with open(unmarked, "w", encoding="utf-8") as fh:
-            fh.writelines(body)
-        code, out = run_lint(unmarked)
-        check("shard-state: unmarked file clean", code == 0, out)
 
     # Multi-pass rules: exact per-line counts on the golden pairs. The
     # bad files also pin which kinds of line fire (namespace scope,
