@@ -14,15 +14,22 @@
 // bench at reduced scale and compares: deterministic fields (checksums,
 // event counts, metrics) must match exactly; timing fields gate with
 // generous thresholds. Peak RSS comes from getrusage and is cumulative
-// over the process, so the 100k block reports the high-water mark.
+// over the process, so the 100k block reports the high-water mark. Each
+// block also records current RSS (VmRSS) after each stage -- graph
+// build, path precompute, simulator construction and run -- so a
+// per-node or per-channel fixed cost shows up in the stage that pays it.
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
+#endif
+#if defined(__GLIBC__)
+#include <malloc.h>
 #endif
 
 #include "bench_util.hpp"
@@ -47,6 +54,24 @@ double peak_rss_mb() {
     return static_cast<double>(ru.ru_maxrss) / 1024.0;
   }
 #endif
+  return 0.0;
+}
+
+/// Current resident set (VmRSS in /proc/self/status), in MiB; 0 where
+/// procfs is unavailable. Freed heap pages are first returned to the OS
+/// (glibc), so the reading counts live data, not what an earlier stage
+/// or block freed and the allocator kept.
+double current_rss_mb() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::stod(line.substr(6)) / 1024.0;  // kB
+    }
+  }
   return 0.0;
 }
 
@@ -103,6 +128,8 @@ PrecomputeTiming time_precompute(const graph::CsrGraph& csr,
 struct SimRun {
   std::uint64_t events = 0;
   double wall_seconds = 0.0;
+  double construct_rss_mb = 0.0;  // after construction, before submit
+  double run_rss_mb = 0.0;        // after run(), simulator still alive
   sim::Metrics metrics;
 };
 
@@ -118,6 +145,8 @@ SimRun run_packet_trial(const graph::Graph& g, const workload::Trace& trace,
       std::vector<core::Amount>(g.edge_count(),
                                 core::from_units(capacity_units)),
       cfg);
+  SimRun r;
+  r.construct_rss_mb = current_rss_mb();
   for (const workload::Transaction& tx : trace) {
     core::PaymentRequest req;
     req.src = tx.src;
@@ -126,10 +155,10 @@ SimRun run_packet_trial(const graph::Graph& g, const workload::Trace& trace,
     req.arrival = tx.arrival;
     psim.submit(req);
   }
-  SimRun r;
   const auto t0 = Clock::now();
   r.metrics = psim.run();
   r.wall_seconds = seconds_since(t0);
+  r.run_rss_mb = current_rss_mb();
   r.events = psim.events_processed();
   return r;
 }
@@ -166,6 +195,7 @@ exp::Json run_block(const ScaleBlock& b, std::size_t threads) {
               "(%.1f MiB arena)\n",
               g.node_count(), g.edge_count(), build_seconds, freeze_seconds,
               static_cast<double>(csr.memory_bytes()) / (1024.0 * 1024.0));
+  const double build_rss_mb = current_rss_mb();
 
   // Workload trace first: its (src, dst) pairs seed the precompute plan,
   // so the simulator below never falls back to lazy path computation.
@@ -183,6 +213,7 @@ exp::Json run_block(const ScaleBlock& b, std::size_t threads) {
   const auto plan = exp::PathPrecomputePlan::make(std::move(pairs));
 
   const PrecomputeTiming pc = time_precompute(csr, plan, 4, threads);
+  const double precompute_rss_mb = current_rss_mb();
   const double speedup = pc.parallel_seconds > 0.0
                              ? pc.serial_seconds / pc.parallel_seconds
                              : 0.0;
@@ -198,6 +229,10 @@ exp::Json run_block(const ScaleBlock& b, std::size_t threads) {
               static_cast<unsigned long long>(sim.events), sim.wall_seconds,
               static_cast<double>(sim.events) / sim.wall_seconds,
               sim.metrics.success_ratio());
+  std::printf("RSS after build %.1f MiB, precompute %.1f MiB, construct "
+              "%.1f MiB, run %.1f MiB\n",
+              build_rss_mb, precompute_rss_mb, sim.construct_rss_mb,
+              sim.run_rss_mb);
 
   exp::Json j = exp::Json::object();
   j.set("topology", b.topology);
@@ -224,6 +259,12 @@ exp::Json run_block(const ScaleBlock& b, std::size_t threads) {
   js.set("capacity_units", b.sim_capacity_units);
   j.set("packet_sim", std::move(js));
   j.set("peak_rss_mb", peak_rss_mb());
+  exp::Json jr = exp::Json::object();
+  jr.set("build", build_rss_mb);
+  jr.set("precompute", precompute_rss_mb);
+  jr.set("construct", sim.construct_rss_mb);
+  jr.set("run", sim.run_rss_mb);
+  j.set("rss_mb", std::move(jr));
   return j;
 }
 

@@ -6,13 +6,23 @@
 // way. A handle packs to one 64-bit word, so it rides in the typed
 // event queue's payload unchanged.
 //
+// Slots live in chunks that grow geometrically: the first holds 16
+// slots and each later one twice as many as the one before. A slab so
+// costs memory in proportion to its peak live count (a channel with
+// three HTLCs in flight holds one 16-slot chunk), and a large one still
+// grows in O(log n) allocations. Indices are assigned sequentially with
+// a LIFO free list, independent of the chunk layout, so handles (and
+// every checksum built from them) do not depend on the chunk sizes.
+//
 // Recycled slots keep their previous tenant's value object, so any
 // heap capacity it owned (e.g. a vector) is reused; the caller resets
 // the fields it needs after acquire().
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace spider::core {
@@ -35,9 +45,8 @@ struct SlabHandle {
   friend bool operator==(const SlabHandle&, const SlabHandle&) = default;
 };
 
-/// Slots live in fixed-size chunks, so growing the slab never moves an
-/// existing slot: value addresses are stable for a slot's lifetime and
-/// growth costs one chunk allocation instead of a full realloc-and-copy.
+/// Growing the slab allocates a new chunk and never moves an existing
+/// slot: value addresses are stable for a slot's lifetime.
 template <typename T>
 class Slab {
  public:
@@ -51,8 +60,9 @@ class Slab {
       free_.pop_back();
     } else {
       index = static_cast<std::uint32_t>(size_);
-      if ((size_ >> kChunkBits) == chunks_.size()) {
-        chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
+      const std::size_t chunk_size = kFirstChunk << chunks_.size();
+      if (size_ == chunk_size - kFirstChunk) {  // every chunk is full
+        chunks_.push_back(std::make_unique<Slot[]>(chunk_size));
       }
       ++size_;
     }
@@ -109,17 +119,9 @@ class Slab {
     }
   }
 
-  /// Pre-allocates chunks for at least `n` slots.
-  void reserve(std::size_t n) {
-    const std::size_t chunks = (n + kChunkSize - 1) >> kChunkBits;
-    while (chunks_.size() < chunks) {
-      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-    }
-  }
-
  private:
-  static constexpr std::size_t kChunkBits = 10;
-  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkBits;
+  static constexpr int kFirstChunkBits = 4;
+  static constexpr std::size_t kFirstChunk = std::size_t{1} << kFirstChunkBits;
 
   struct Slot {
     T value{};
@@ -127,11 +129,17 @@ class Slab {
     bool occupied = false;
   };
 
-  [[nodiscard]] Slot& slot(std::uint32_t i) {
-    return chunks_[i >> kChunkBits][i & (kChunkSize - 1)];
-  }
+  // Chunk c holds kFirstChunk << c slots starting at index
+  // kFirstChunk * (2^c - 1). Shifted by kFirstChunk, an index in chunk
+  // c lies in [kFirstChunk << c, kFirstChunk << (c + 1)): its bit width
+  // names the chunk and the bits below its top bit are the offset.
   [[nodiscard]] const Slot& slot(std::uint32_t i) const {
-    return chunks_[i >> kChunkBits][i & (kChunkSize - 1)];
+    const std::uint64_t j = std::uint64_t{i} + kFirstChunk;
+    const int top = std::bit_width(j) - 1;
+    return chunks_[top - kFirstChunkBits][j ^ (std::uint64_t{1} << top)];
+  }
+  [[nodiscard]] Slot& slot(std::uint32_t i) {
+    return const_cast<Slot&>(std::as_const(*this).slot(i));
   }
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;

@@ -29,12 +29,10 @@ PacketSimulator::PacketSimulator(const graph::Graph& g,
        cfg_.cc_max_window < cfg_.cc_initial_window)) {
     throw std::invalid_argument("PacketSimulator: bad spider-cc config");
   }
-  transports_.reserve(g.node_count());
+  transports_.resize(g.node_count());
   routers_.reserve(g.node_count());
   arc_local_.assign(g.arc_count(), 0);
   for (core::NodeId v = 0; v < g.node_count(); ++v) {
-    transports_.push_back(
-        std::make_unique<core::Transport>(v, cfg_.seed ^ (v * 0x9e37ull)));
     routers_.emplace_back(v, cfg_.router_policy);
     const std::span<const graph::ArcId> out = g.out_arcs(v);
     routers_.back().bind(out);
@@ -191,8 +189,13 @@ const graph::Path* PacketSimulator::select_path(const core::TxUnit& unit) {
 
 void PacketSimulator::arrive(core::PaymentId pid) {
   const core::PaymentRequest& req = requests_[pid];
+  std::unique_ptr<core::Transport>& tp = transports_[req.src];
+  if (tp == nullptr) {
+    tp = std::make_unique<core::Transport>(req.src,
+                                           cfg_.seed ^ (req.src * 0x9e37ull));
+  }
   const std::vector<core::TxUnit>& units =
-      transports_[req.src]->begin_payment(pid, req, cfg_.mtu);
+      tp->begin_payment(pid, req, cfg_.mtu);
   payment_units_[pid].assign(units.size(), 0);
   for (const core::TxUnit& u : units) submit_unit(u);
 }

@@ -388,8 +388,11 @@ class PacketSimulator {
 
   EventQueue events_;
   std::vector<core::PaymentRequest> requests_;
-  std::vector<std::unique_ptr<core::Transport>> transports_;  // per node
-  std::vector<core::Router> routers_;                         // per node
+  /// Per node, built by arrive() on the node's first payment: most
+  /// nodes of a large topology never send, and a Transport is ~2.6 KB
+  /// (mostly its key RNG). Every other access follows a begin_payment.
+  std::vector<std::unique_ptr<core::Transport>> transports_;
+  std::vector<core::Router> routers_;  // per node
 
   /// Admitted arrivals sorted by (time, seq); only the next one sits in
   /// the event heap at any moment (chained via reserved sequence

@@ -1,7 +1,10 @@
 #include "core/slab.hpp"
 
+#include "core/channel.hpp"
+
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -68,7 +71,7 @@ TEST(Slab, AddressesStableAcrossGrowth) {
   Slab<std::string> slab;
   std::vector<SlabHandle> handles;
   std::vector<std::string*> addrs;
-  // Cross several chunk boundaries (chunks hold 1024 slots).
+  // Cross several chunk boundaries (chunks hold 16, 32, ... slots).
   for (int i = 0; i < 5000; ++i) {
     const SlabHandle h = slab.acquire();
     *slab.get(h) = std::to_string(i);
@@ -82,14 +85,95 @@ TEST(Slab, AddressesStableAcrossGrowth) {
   EXPECT_EQ(slab.live(), 5000u);
 }
 
-TEST(Slab, ReservePreallocatesWithoutCreatingSlots) {
+/// First index of every chunk below 2^20 slots: chunks hold 16, 32,
+/// 64, ... slots, so chunk c starts at 16 * (2^c - 1).
+std::vector<std::uint32_t> chunk_starts() {
+  std::vector<std::uint32_t> starts;
+  for (std::uint32_t c = 1; 16u * ((1u << c) - 1) < (1u << 20); ++c) {
+    starts.push_back(16u * ((1u << c) - 1));
+  }
+  return starts;
+}
+
+TEST(Slab, IndicesSequentialAndRecyclingLifoAcrossChunkBoundaries) {
   Slab<int> slab;
-  slab.reserve(3000);
-  EXPECT_EQ(slab.live(), 0u);
-  EXPECT_EQ(slab.capacity(), 0u);  // slots exist only once acquired
-  const SlabHandle h = slab.acquire();
-  EXPECT_EQ(h.index, 0u);
-  EXPECT_EQ(slab.capacity(), 1u);
+  std::vector<SlabHandle> handles;
+  handles.reserve(std::size_t{1} << 20);
+  for (std::uint32_t i = 0; i < (1u << 20); ++i) {
+    handles.push_back(slab.acquire());
+    ASSERT_EQ(handles.back().index, i);  // fresh slots are sequential
+    *slab.get(handles.back()) = static_cast<int>(i);
+  }
+  const std::vector<std::uint32_t> starts = chunk_starts();
+  ASSERT_EQ(starts.front(), 16u);
+  ASSERT_EQ(starts[1], 48u);
+  for (const std::uint32_t b : starts) {
+    // Free the last slot of one chunk, then the first of the next: the
+    // free list hands them back last-in first-out.
+    slab.release(handles[b - 1]);
+    slab.release(handles[b]);
+    const SlabHandle first = slab.acquire();
+    const SlabHandle second = slab.acquire();
+    EXPECT_EQ(first.index, b);
+    EXPECT_EQ(second.index, b - 1);
+    EXPECT_EQ(first.gen, 2u);
+    EXPECT_EQ(second.gen, 2u);
+    EXPECT_EQ(*slab.get(first), static_cast<int>(b));  // previous tenant
+    handles[b] = first;
+    handles[b - 1] = second;
+  }
+  EXPECT_EQ(slab.capacity(), std::size_t{1} << 20);  // nothing new created
+  EXPECT_EQ(slab.acquire().index, 1u << 20);  // growth resumes in order
+  for (std::uint32_t i = 0; i < (1u << 20); ++i) {
+    ASSERT_EQ(*slab.get(handles[i]), static_cast<int>(i));
+  }
+}
+
+TEST(Slab, ForEachVisitsAscendingIndexAfterMixedAcquireRelease) {
+  Slab<int> slab;
+  std::vector<SlabHandle> handles;
+  for (int i = 0; i < 200; ++i) handles.push_back(slab.acquire());
+  // Release a scattered set (crossing the 16- and 48-slot boundaries),
+  // then recycle some of it in a different order.
+  std::vector<bool> live(200, true);
+  for (const int i : {150, 3, 47, 16, 15, 199, 48, 90, 0}) {
+    slab.release(handles[i]);
+    live[i] = false;
+  }
+  for (int k = 0; k < 4; ++k) live[slab.acquire().index] = true;
+  std::vector<std::uint32_t> expected;
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    if (live[i]) expected.push_back(i);
+  }
+  std::vector<std::uint32_t> visited;
+  slab.for_each([&](SlabHandle h, int&) { visited.push_back(h.index); });
+  EXPECT_EQ(visited, expected);
+  EXPECT_EQ(slab.live(), expected.size());
+}
+
+TEST(Slab, ChannelHtlcIdSequenceGolden) {
+  // HtlcId == packed (generation << 32 | index): pins that the chunk
+  // layout does not leak into ids (and so into any checksum).
+  Channel c(1000000, 1000000);
+  std::vector<HtlcId> ids;
+  for (int i = 0; i < 18; ++i) {
+    ids.push_back(*c.offer_htlc(Side::kA, 10, hash_preimage(i)));
+  }
+  ASSERT_TRUE(c.settle_htlc(ids[15], 15));
+  ASSERT_TRUE(c.fail_htlc(ids[16]));
+  ASSERT_TRUE(c.settle_htlc(ids[2], 2));
+  ids.push_back(*c.offer_htlc(Side::kB, 10, hash_preimage(100)));
+  ids.push_back(*c.offer_htlc(Side::kB, 10, hash_preimage(101)));
+  ids.push_back(*c.offer_htlc(Side::kB, 10, hash_preimage(102)));
+  ids.push_back(*c.offer_htlc(Side::kB, 10, hash_preimage(103)));
+  const std::vector<HtlcId> tail(ids.begin() + 14, ids.end());
+  const std::vector<HtlcId> golden = {
+      0x1'0000000Eull, 0x1'0000000Full, 0x1'00000010ull, 0x1'00000011ull,
+      0x2'00000002ull, 0x2'00000010ull, 0x2'0000000Full, 0x1'00000012ull};
+  EXPECT_EQ(tail, golden);
+  EXPECT_EQ(ids[0], 0x1'00000000ull);
+  EXPECT_EQ(c.inflight_count(), 19u);
+  EXPECT_TRUE(c.conserves_funds());
 }
 
 }  // namespace
