@@ -159,13 +159,14 @@ BENCHMARK(BM_Waterfill);
 void BM_EventQueueChurn(benchmark::State& state) {
   for (auto _ : state) {
     sim::EventQueue q;
-    int sink = 0;
+    q.set_dispatcher([](void*, sim::EventKind, std::uint64_t, std::uint64_t) {},
+                     nullptr);
     for (int i = 0; i < 1000; ++i) {
-      q.schedule(static_cast<double>((i * 7919) % 1000),
-                 [&sink]() { ++sink; });
+      q.schedule_typed(static_cast<double>((i * 7919) % 1000),
+                       sim::EventKind::kArrival);
     }
     q.run_all();
-    benchmark::DoNotOptimize(sink);
+    benchmark::DoNotOptimize(q.processed());
   }
 }
 BENCHMARK(BM_EventQueueChurn);

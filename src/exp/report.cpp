@@ -1,8 +1,10 @@
 #include "exp/report.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <stdexcept>
+#include <type_traits>
 
 namespace spider::exp {
 
@@ -398,48 +400,60 @@ std::vector<double> double_series_from_json(const Json& arr) {
   return out;
 }
 
+/// A JSON number as T, the type of the Metrics member it fills.
+template <typename T>
+T json_as(const Json& v) {
+  if constexpr (std::is_same_v<T, double>) {
+    return v.as_double();
+  } else if constexpr (std::is_unsigned_v<T>) {
+    return v.as_uint();
+  } else {
+    return v.as_int();
+  }
+}
+
+/// Reads field `key` of object `j` with `read`, turning a missing key or
+/// a malformed value into std::runtime_error naming the field.
+template <typename Read>
+auto read_field(const Json& j, const std::string& key, Read read) {
+  const Json* v = j.is_object() ? j.find(key) : nullptr;
+  if (v == nullptr) {
+    throw std::runtime_error("metrics_from_json: missing field " + key);
+  }
+  try {
+    return read(*v);
+  } catch (const std::bad_variant_access&) {
+    throw std::runtime_error("metrics_from_json: field " + key +
+                             " has the wrong type");
+  } catch (const std::logic_error& e) {
+    throw std::runtime_error("metrics_from_json: field " + key +
+                             " is malformed: " + e.what());
+  }
+}
+
+/// Parses one whole CSV column as T; throws std::runtime_error naming
+/// the column unless every character is consumed.
+template <typename T>
+T parse_column(std::string_view col, const char* name) {
+  T v{};
+  const auto res = std::from_chars(col.data(), col.data() + col.size(), v);
+  if (res.ec != std::errc() || res.ptr != col.data() + col.size()) {
+    throw std::runtime_error("metrics_from_csv_row: bad value '" +
+                             std::string(col) + "' in column " + name);
+  }
+  return v;
+}
+
 }  // namespace
 
 Json metrics_to_json(const sim::Metrics& m) {
   Json j = Json::object();
-  j.set("attempted", m.attempted);
-  j.set("succeeded", m.succeeded);
-  j.set("partial", m.partial);
-  j.set("failed", m.failed);
-  j.set("attempted_volume", static_cast<std::int64_t>(m.attempted_volume));
-  j.set("delivered_volume", static_cast<std::int64_t>(m.delivered_volume));
-  j.set("completed_volume", static_cast<std::int64_t>(m.completed_volume));
-  j.set("total_attempt_rounds", m.total_attempt_rounds);
-  j.set("units_sent", m.units_sent);
-  j.set("sum_completion_latency", m.sum_completion_latency);
-  j.set("rebalance_events", m.rebalance_events);
-  j.set("rebalanced_volume", static_cast<std::int64_t>(m.rebalanced_volume));
-  j.set("fees_paid", static_cast<std::int64_t>(m.fees_paid));
-  j.set("fault_events_applied", m.fault_events_applied);
-  j.set("fault_node_downs", m.fault_node_downs);
-  j.set("fault_channel_closures", m.fault_channel_closures);
-  j.set("fault_withhold_spells", m.fault_withhold_spells);
-  j.set("fault_stale_spells", m.fault_stale_spells);
-  j.set("fault_units_failed", m.fault_units_failed);
-  j.set("fault_reroutes", m.fault_reroutes);
-  j.set("fault_withheld_acks", m.fault_withheld_acks);
-  j.set("fault_stale_decisions", m.fault_stale_decisions);
-  j.set("fault_backoff_retries", m.fault_backoff_retries);
-  j.set("fault_jam_spells", m.fault_jam_spells);
-  j.set("fault_jam_locked_volume",
-        static_cast<std::int64_t>(m.fault_jam_locked_volume));
-  j.set("fault_grief_spells", m.fault_grief_spells);
-  j.set("fault_griefed_acks", m.fault_griefed_acks);
-  j.set("cc_marked_acks", m.cc_marked_acks);
-  j.set("cc_window_decreases", m.cc_window_decreases);
-  j.set("cc_timeout_retries", m.cc_timeout_retries);
+  sim::for_each_counter(
+      m, [&j](const char* name, const auto& v) { j.set(name, v); });
   // Derived values, for report consumers (ignored by metrics_from_json).
-  j.set("success_ratio", m.success_ratio());
-  j.set("success_volume", m.success_volume());
-  j.set("mean_completion_latency", m.mean_completion_latency());
-  j.set("latency_p50", m.latency_p50());
-  j.set("latency_p95", m.latency_p95());
-  j.set("latency_p99", m.latency_p99());
+  for (const sim::DerivedMetric& d : sim::kDerivedMetrics) {
+    j.set(d.name, (m.*d.value)());
+  }
   j.set("latency_hist", histogram_to_json(m.latency_hist));
   j.set("series_bucket", m.series_bucket);
   j.set("delivered_series", double_series_to_json(m.delivered_series));
@@ -454,181 +468,82 @@ Json metrics_to_json(const sim::Metrics& m) {
 
 sim::Metrics metrics_from_json(const Json& j) {
   sim::Metrics m;
-  m.attempted = j.at("attempted").as_uint();
-  m.succeeded = j.at("succeeded").as_uint();
-  m.partial = j.at("partial").as_uint();
-  m.failed = j.at("failed").as_uint();
-  m.attempted_volume = j.at("attempted_volume").as_int();
-  m.delivered_volume = j.at("delivered_volume").as_int();
-  m.completed_volume = j.at("completed_volume").as_int();
-  m.total_attempt_rounds = j.at("total_attempt_rounds").as_uint();
-  m.units_sent = j.at("units_sent").as_uint();
-  m.sum_completion_latency = j.at("sum_completion_latency").as_double();
-  m.rebalance_events = j.at("rebalance_events").as_uint();
-  m.rebalanced_volume = j.at("rebalanced_volume").as_int();
-  m.fees_paid = j.at("fees_paid").as_int();
-  m.fault_events_applied = j.at("fault_events_applied").as_uint();
-  m.fault_node_downs = j.at("fault_node_downs").as_uint();
-  m.fault_channel_closures = j.at("fault_channel_closures").as_uint();
-  m.fault_withhold_spells = j.at("fault_withhold_spells").as_uint();
-  m.fault_stale_spells = j.at("fault_stale_spells").as_uint();
-  m.fault_units_failed = j.at("fault_units_failed").as_uint();
-  m.fault_reroutes = j.at("fault_reroutes").as_uint();
-  m.fault_withheld_acks = j.at("fault_withheld_acks").as_uint();
-  m.fault_stale_decisions = j.at("fault_stale_decisions").as_uint();
-  m.fault_backoff_retries = j.at("fault_backoff_retries").as_uint();
-  m.fault_jam_spells = j.at("fault_jam_spells").as_uint();
-  m.fault_jam_locked_volume = j.at("fault_jam_locked_volume").as_int();
-  m.fault_grief_spells = j.at("fault_grief_spells").as_uint();
-  m.fault_griefed_acks = j.at("fault_griefed_acks").as_uint();
-  m.cc_marked_acks = j.at("cc_marked_acks").as_uint();
-  m.cc_window_decreases = j.at("cc_window_decreases").as_uint();
-  m.cc_timeout_retries = j.at("cc_timeout_retries").as_uint();
-  m.latency_hist = histogram_from_json(j.at("latency_hist"));
-  m.series_bucket = j.at("series_bucket").as_double();
-  m.delivered_series = double_series_from_json(j.at("delivered_series"));
-  const Json& chans = j.at("channel_imbalance_series");
-  m.channel_imbalance_series.reserve(chans.size());
-  for (std::size_t i = 0; i < chans.size(); ++i) {
-    m.channel_imbalance_series.push_back(
-        double_series_from_json(chans.at(i)));
-  }
-  m.queue_depth_series = double_series_from_json(j.at("queue_depth_series"));
+  sim::for_each_counter(m, [&j](const char* name, auto& v) {
+    using T = std::remove_reference_t<decltype(v)>;
+    v = read_field(j, name, json_as<T>);
+  });
+  m.latency_hist = read_field(j, "latency_hist", histogram_from_json);
+  m.series_bucket = read_field(j, "series_bucket", json_as<double>);
+  m.delivered_series =
+      read_field(j, "delivered_series", double_series_from_json);
+  m.channel_imbalance_series =
+      read_field(j, "channel_imbalance_series", [](const Json& chans) {
+        std::vector<std::vector<double>> out;
+        out.reserve(chans.size());
+        for (std::size_t i = 0; i < chans.size(); ++i) {
+          out.push_back(double_series_from_json(chans.at(i)));
+        }
+        return out;
+      });
+  m.queue_depth_series =
+      read_field(j, "queue_depth_series", double_series_from_json);
   return m;
 }
 
 std::string metrics_csv_header() {
-  return "attempted,succeeded,partial,failed,attempted_volume,"
-         "delivered_volume,completed_volume,total_attempt_rounds,"
-         "units_sent,sum_completion_latency,rebalance_events,"
-         "rebalanced_volume,fees_paid,fault_events_applied,"
-         "fault_node_downs,fault_channel_closures,fault_withhold_spells,"
-         "fault_stale_spells,fault_units_failed,fault_reroutes,"
-         "fault_withheld_acks,fault_stale_decisions,fault_backoff_retries,"
-         "fault_jam_spells,fault_jam_locked_volume,fault_grief_spells,"
-         "fault_griefed_acks,"
-         "cc_marked_acks,cc_window_decreases,cc_timeout_retries,"
-         "success_ratio,success_volume,"
-         "mean_completion_latency,latency_p50,latency_p95,latency_p99";
+  // Every counter, then every derived value.
+  std::string header;
+  const auto add = [&header](const char* name, const auto&...) {
+    if (!header.empty()) header.push_back(',');
+    header += name;
+  };
+  sim::for_each_counter(sim::Metrics{}, add);
+  for (const sim::DerivedMetric& d : sim::kDerivedMetrics) add(d.name);
+  return header;
 }
 
 std::string metrics_csv_row(const sim::Metrics& m) {
   std::string row;
-  const auto add_u = [&](std::uint64_t v) {
+  const auto add = [&row](const auto v) {
     if (!row.empty()) row.push_back(',');
-    row += std::to_string(v);
+    if constexpr (std::is_same_v<decltype(v), const double>) {
+      row += format_double(v);
+    } else {
+      row += std::to_string(v);
+    }
   };
-  const auto add_i = [&](std::int64_t v) {
-    if (!row.empty()) row.push_back(',');
-    row += std::to_string(v);
-  };
-  const auto add_d = [&](double v) {
-    if (!row.empty()) row.push_back(',');
-    row += format_double(v);
-  };
-  add_u(m.attempted);
-  add_u(m.succeeded);
-  add_u(m.partial);
-  add_u(m.failed);
-  add_i(m.attempted_volume);
-  add_i(m.delivered_volume);
-  add_i(m.completed_volume);
-  add_u(m.total_attempt_rounds);
-  add_u(m.units_sent);
-  add_d(m.sum_completion_latency);
-  add_u(m.rebalance_events);
-  add_i(m.rebalanced_volume);
-  add_i(m.fees_paid);
-  add_u(m.fault_events_applied);
-  add_u(m.fault_node_downs);
-  add_u(m.fault_channel_closures);
-  add_u(m.fault_withhold_spells);
-  add_u(m.fault_stale_spells);
-  add_u(m.fault_units_failed);
-  add_u(m.fault_reroutes);
-  add_u(m.fault_withheld_acks);
-  add_u(m.fault_stale_decisions);
-  add_u(m.fault_backoff_retries);
-  add_u(m.fault_jam_spells);
-  add_i(m.fault_jam_locked_volume);
-  add_u(m.fault_grief_spells);
-  add_u(m.fault_griefed_acks);
-  add_u(m.cc_marked_acks);
-  add_u(m.cc_window_decreases);
-  add_u(m.cc_timeout_retries);
-  add_d(m.success_ratio());
-  add_d(m.success_volume());
-  add_d(m.mean_completion_latency());
-  add_d(m.latency_p50());
-  add_d(m.latency_p95());
-  add_d(m.latency_p99());
+  sim::for_each_counter(m, [&add](const char*, const auto& v) { add(v); });
+  for (const sim::DerivedMetric& d : sim::kDerivedMetrics) add((m.*d.value)());
   return row;
 }
 
 sim::Metrics metrics_from_csv_row(const std::string& row) {
-  std::vector<std::string> cols;
-  std::string cur;
-  for (const char c : row) {
-    if (c == ',') {
-      cols.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
+  std::vector<std::string_view> cols;
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t comma = row.find(',', start);
+    const std::size_t end = comma == std::string::npos ? row.size() : comma;
+    cols.emplace_back(row.data() + start, end - start);
+    if (comma == std::string::npos) break;
+    start = comma + 1;
   }
-  cols.push_back(cur);
-  constexpr std::size_t kColumns = 36;
-  if (cols.size() != kColumns) {
-    throw std::runtime_error("metrics_from_csv_row: expected 36 columns, got " +
+  const std::string header = metrics_csv_header();
+  const auto expected = static_cast<std::size_t>(
+      std::count(header.begin(), header.end(), ',') + 1);
+  if (cols.size() != expected) {
+    throw std::runtime_error("metrics_from_csv_row: expected " +
+                             std::to_string(expected) + " columns, got " +
                              std::to_string(cols.size()));
   }
-  const auto get_u = [&](std::size_t i) -> std::uint64_t {
-    return std::stoull(cols[i]);
-  };
-  const auto get_i = [&](std::size_t i) -> std::int64_t {
-    return std::stoll(cols[i]);
-  };
-  const auto get_d = [&](std::size_t i) -> double {
-    double d = 0;
-    const auto& s = cols[i];
-    const auto res = std::from_chars(s.data(), s.data() + s.size(), d);
-    if (res.ec != std::errc()) {
-      throw std::runtime_error("metrics_from_csv_row: bad double " + s);
-    }
-    return d;
-  };
   sim::Metrics m;
-  m.attempted = get_u(0);
-  m.succeeded = get_u(1);
-  m.partial = get_u(2);
-  m.failed = get_u(3);
-  m.attempted_volume = get_i(4);
-  m.delivered_volume = get_i(5);
-  m.completed_volume = get_i(6);
-  m.total_attempt_rounds = get_u(7);
-  m.units_sent = get_u(8);
-  m.sum_completion_latency = get_d(9);
-  m.rebalance_events = get_u(10);
-  m.rebalanced_volume = get_i(11);
-  m.fees_paid = get_i(12);
-  m.fault_events_applied = get_u(13);
-  m.fault_node_downs = get_u(14);
-  m.fault_channel_closures = get_u(15);
-  m.fault_withhold_spells = get_u(16);
-  m.fault_stale_spells = get_u(17);
-  m.fault_units_failed = get_u(18);
-  m.fault_reroutes = get_u(19);
-  m.fault_withheld_acks = get_u(20);
-  m.fault_stale_decisions = get_u(21);
-  m.fault_backoff_retries = get_u(22);
-  m.fault_jam_spells = get_u(23);
-  m.fault_jam_locked_volume = get_i(24);
-  m.fault_grief_spells = get_u(25);
-  m.fault_griefed_acks = get_u(26);
-  m.cc_marked_acks = get_u(27);
-  m.cc_window_decreases = get_u(28);
-  m.cc_timeout_retries = get_u(29);
-  // Columns 30..35 are derived values; recomputed from the fields above.
+  std::size_t k = 0;
+  sim::for_each_counter(m, [&](const char* name, auto& v) {
+    v = parse_column<std::remove_reference_t<decltype(v)>>(cols[k++], name);
+  });
+  // Derived columns are validated, then recomputed from the fields above.
+  for (const sim::DerivedMetric& d : sim::kDerivedMetrics) {
+    (void)parse_column<double>(cols[k++], d.name);
+  }
   return m;
 }
 

@@ -100,15 +100,17 @@ namespace report {
 [[nodiscard]] Json metrics_to_json(const sim::Metrics& m);
 
 /// Inverse of metrics_to_json: reconstructs a snapshot that compares
-/// equal (operator==) to the original. Throws std::runtime_error on
-/// missing fields.
+/// equal (operator==) to the original. Throws std::runtime_error naming
+/// the field when one is missing or malformed.
 [[nodiscard]] sim::Metrics metrics_from_json(const Json& j);
 
 /// Flat CSV of the scalar metric fields (no histogram / series).
 [[nodiscard]] std::string metrics_csv_header();
 [[nodiscard]] std::string metrics_csv_row(const sim::Metrics& m);
 /// Parses a row written by metrics_csv_row back into a snapshot whose
-/// scalar fields equal the original's. Throws on column mismatch.
+/// scalar fields equal the original's. Throws std::runtime_error on a
+/// column-count mismatch or, naming the column, on any column that is
+/// not wholly a number of its field's type.
 [[nodiscard]] sim::Metrics metrics_from_csv_row(const std::string& row);
 
 }  // namespace report

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
-#include <utility>
 
 namespace spider::sim {
 
@@ -50,55 +49,13 @@ void EventHeap::sift_down(std::size_t i) {
   heap_[i] = ev;
 }
 
-void EventQueue::push_event(TimePoint t, EventKind kind, std::uint64_t a,
-                            std::uint64_t b) {
-  push_raw(t, (next_seq_++ << 8) | static_cast<std::uint64_t>(kind), a, b);
-}
-
-void EventQueue::push_raw(TimePoint t, std::uint64_t meta, std::uint64_t a,
-                          std::uint64_t b) {
-  if (t < now_) {
-    throw std::invalid_argument("EventQueue::schedule: time in the past");
-  }
-  heap_.push(SimEvent{t, meta, a, b});
-}
-
 void EventQueue::schedule_typed_reserved(TimePoint t, EventKind kind,
                                          std::uint64_t seq, std::uint64_t a,
                                          std::uint64_t b) {
-  if (kind == EventKind::kCallback) {
-    throw std::invalid_argument(
-        "EventQueue::schedule_typed_reserved: kCallback is internal");
+  if (t < now_) {
+    throw std::invalid_argument("EventQueue::schedule: time in the past");
   }
-  push_raw(t, (seq << 8) | static_cast<std::uint64_t>(kind), a, b);
-}
-
-void EventQueue::schedule_typed(TimePoint t, EventKind kind, std::uint64_t a,
-                                std::uint64_t b) {
-  if (kind == EventKind::kCallback) {
-    throw std::invalid_argument(
-        "EventQueue::schedule_typed: kCallback is internal; use schedule()");
-  }
-  push_event(t, kind, a, b);
-}
-
-void EventQueue::schedule(TimePoint t, Handler fn) {
-  std::uint32_t slot;
-  if (!free_handlers_.empty()) {
-    slot = free_handlers_.back();
-    free_handlers_.pop_back();
-    handlers_[slot] = std::move(fn);
-  } else {
-    slot = static_cast<std::uint32_t>(handlers_.size());
-    handlers_.push_back(std::move(fn));
-  }
-  try {
-    push_event(t, EventKind::kCallback, slot, 0);
-  } catch (...) {
-    handlers_[slot] = nullptr;
-    free_handlers_.push_back(slot);
-    throw;
-  }
+  heap_.push(SimEvent{t, (seq << 8) | static_cast<std::uint64_t>(kind), a, b});
 }
 
 bool EventQueue::run_next() {
@@ -106,19 +63,10 @@ bool EventQueue::run_next() {
   const SimEvent ev = heap_.pop();
   now_ = ev.time;
   ++processed_;
-  if (ev.kind() == EventKind::kCallback) {
-    const auto slot = static_cast<std::uint32_t>(ev.a);
-    Handler fn = std::move(handlers_[slot]);
-    handlers_[slot] = nullptr;
-    free_handlers_.push_back(slot);
-    fn();
-  } else {
-    if (dispatcher_ == nullptr) {
-      throw std::logic_error(
-          "EventQueue: typed event fired without a dispatcher");
-    }
-    dispatcher_(dispatcher_ctx_, ev.kind(), ev.a, ev.b);
+  if (dispatcher_ == nullptr) {
+    throw std::logic_error("EventQueue: event fired without a dispatcher");
   }
+  dispatcher_(dispatcher_ctx_, ev.kind(), ev.a, ev.b);
   if (post_hook_ != nullptr) post_hook_(post_hook_ctx_, now_, processed_);
   return true;
 }

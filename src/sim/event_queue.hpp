@@ -3,22 +3,13 @@
 // insertion-order) order, so two runs with the same seed are bit-for-bit
 // identical.
 //
-// Two scheduling paths share one clock and one sequence counter:
-//
-//  * typed events -- a tagged union of the simulator's fixed event
-//    kinds with two 64-bit payload words, stored inline in the binary
-//    heap. Scheduling one is a heap push with zero per-event
-//    allocation; firing one calls the registered dispatcher (a plain
-//    function pointer + context, set once per simulation).
-//  * callback events -- the std::function escape hatch used by the
-//    flow simulator, tests, and examples. The handler lives in a
-//    free-list slab; the heap entry stays POD.
-//
-// Because both paths draw from the same sequence counter, mixing them
-// preserves the global (time, insertion-order) ordering exactly.
+// Every event is typed: a tagged union of the simulators' fixed event
+// kinds with two 64-bit payload words, stored inline in the heap.
+// Scheduling one is a heap push with zero per-event allocation; firing
+// one calls the registered dispatcher (a plain function pointer +
+// context, set once per simulation).
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/types.hpp"
@@ -27,25 +18,28 @@ namespace spider::sim {
 
 using core::TimePoint;
 
-/// Fixed event kinds of the packet-level simulator (§4 substrate).
-/// kCallback is internal to EventQueue (the escape hatch); the others
-/// are interpreted by the registered dispatcher.
+/// Fixed event kinds of the flow and packet simulators, interpreted by
+/// each simulator's registered dispatcher. The numeric values are
+/// append-only: they are part of every pending event's `meta` word, so
+/// canonical_checksum (and the service snapshot checksums built on it)
+/// would change if an existing kind were renumbered.
 enum class EventKind : std::uint8_t {
-  kArrival,       // a payment enters the network (payload a = PaymentId)
-  kHopAdvance,    // a unit finishes a hop's propagation delay (a = handle)
-  kAck,           // receiver confirmation reaches the sender (a = handle)
-  kSettle,        // reserved: deferred settlement (a = handle, b = key)
-  kExpirySweep,   // periodic router-queue expiry sweep (no payload)
-  kSeriesSample,  // periodic telemetry sample (no payload)
-  kFaultStart,    // a fault-plan entry begins (a = plan index)
-  kFaultEnd,      // a fault window ends (a = FaultInjector::pack_end word)
-  kCallback,      // internal: run a slab-stored std::function
+  kArrival,           // a payment enters the network (payload a = PaymentId)
+  kHopAdvance,        // a unit finishes a hop's propagation delay (a = handle)
+  kAck,               // receiver confirmation reaches the sender (a = handle)
+  kSettle,            // flow sim: deferred settlement of a send (a = handle)
+  kExpirySweep,       // periodic router-queue expiry sweep (no payload)
+  kSeriesSample,      // periodic telemetry sample (no payload)
+  kFaultStart,        // a fault-plan entry begins (a = plan index)
+  kFaultEnd,          // a fault window ends (a = FaultInjector::pack_end word)
+  kPoll,              // flow sim: periodic retry-queue poll (no payload)
+  kRebalanceSweep,    // flow sim: periodic on-chain rebalancing sweep
+  kRebalanceDeposit,  // flow sim: deposit confirms (a = edge<<1|side, b = amt)
 };
 
 /// POD heap entry, 32 bytes: the sequence number and kind share one
 /// word (seq in the high 56 bits, so ordering by `meta` IS ordering by
-/// insertion sequence). Payload is inline; callback events indirect via
-/// slot `a`.
+/// insertion sequence). Payload is inline.
 struct SimEvent {
   TimePoint time;
   std::uint64_t meta;  // (seq << 8) | kind
@@ -55,7 +49,6 @@ struct SimEvent {
   [[nodiscard]] EventKind kind() const {
     return static_cast<EventKind>(meta & 0xff);
   }
-  [[nodiscard]] std::uint64_t seq() const { return meta >> 8; }
   /// Strict total order (time, seq): earlier fires first.
   [[nodiscard]] bool before(const SimEvent& o) const {
     if (time != o.time) return time < o.time;
@@ -89,13 +82,12 @@ class EventHeap {
 
 class EventQueue {
  public:
-  using Handler = std::function<void()>;
-  /// Typed-event sink: called with the event's kind and payload words.
+  /// Event sink: called with the event's kind and payload words.
   using Dispatcher = void (*)(void* ctx, EventKind kind, std::uint64_t a,
                               std::uint64_t b);
 
-  /// Registers the typed-event sink (one per queue; required before the
-  /// first typed event fires).
+  /// Registers the event sink (one per queue; required before the first
+  /// event fires).
   void set_dispatcher(Dispatcher fn, void* ctx) {
     dispatcher_ = fn;
     dispatcher_ctx_ = ctx;
@@ -112,12 +104,14 @@ class EventQueue {
     post_hook_ctx_ = ctx;
   }
 
-  /// Schedules a typed event at absolute time `t` (must be >= now(),
+  /// Schedules an event at absolute time `t` (must be >= now(),
   /// throws std::invalid_argument otherwise). Zero allocation.
   void schedule_typed(TimePoint t, EventKind kind, std::uint64_t a = 0,
-                      std::uint64_t b = 0);
+                      std::uint64_t b = 0) {
+    schedule_typed_reserved(t, kind, next_seq_++, a, b);
+  }
 
-  /// Schedules a typed event after a relative delay.
+  /// Schedules an event after a relative delay.
   void schedule_typed_in(TimePoint delay, EventKind kind, std::uint64_t a = 0,
                          std::uint64_t b = 0) {
     schedule_typed(now_ + delay, kind, a, b);
@@ -134,20 +128,10 @@ class EventQueue {
     return first;
   }
 
-  /// Schedules a typed event under a sequence number obtained from
+  /// Schedules an event under a sequence number obtained from
   /// reserve_seqs (same t >= now() contract as schedule_typed).
   void schedule_typed_reserved(TimePoint t, EventKind kind, std::uint64_t seq,
                                std::uint64_t a = 0, std::uint64_t b = 0);
-
-  /// Schedules `fn` at absolute time `t` (must be >= now(), throws
-  /// std::invalid_argument otherwise). Escape hatch for callers without
-  /// a typed dispatcher.
-  void schedule(TimePoint t, Handler fn);
-
-  /// Schedules `fn` after a relative delay.
-  void schedule_in(TimePoint delay, Handler fn) {
-    schedule(now_ + delay, std::move(fn));
-  }
 
   /// Pops and runs the earliest event, advancing the clock.
   /// Returns false when no events remain.
@@ -175,20 +159,10 @@ class EventQueue {
   [[nodiscard]] std::uint64_t canonical_checksum() const;
 
  private:
-  void push_event(TimePoint t, EventKind kind, std::uint64_t a,
-                  std::uint64_t b);
-  void push_raw(TimePoint t, std::uint64_t meta, std::uint64_t a,
-                std::uint64_t b);
-
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   EventHeap heap_;
-
-  // Callback slab: heap entries reference handlers_[a]; freed slots are
-  // recycled through free_handlers_.
-  std::vector<Handler> handlers_;
-  std::vector<std::uint32_t> free_handlers_;
 
   Dispatcher dispatcher_ = nullptr;
   void* dispatcher_ctx_ = nullptr;

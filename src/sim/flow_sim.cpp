@@ -212,12 +212,12 @@ void FlowSimulator::send(core::PaymentId pid, core::Amount amt,
   ls.key = key;
   ls.pid = pid;
   ls.cancelled = false;
-  events_.schedule_in(delay, [this, h]() { complete(h); });
+  events_.schedule_typed_in(delay, EventKind::kSettle, h.packed());
 }
 
 void FlowSimulator::complete(core::SlabHandle h) {
   LiveSend* ls = live_sends_.get(h);
-  if (ls == nullptr) return;  // defensive: only this callback releases
+  if (ls == nullptr) return;  // defensive: only this event releases
   PaymentState& st = payments_[ls->pid];
   if (ls->cancelled) {
     // A mid-run channel closure severed this route; its locks already
@@ -251,7 +251,7 @@ void FlowSimulator::sample_series() {
         core::to_units(net_.channel(e).imbalance()));
   }
   if (events_.now() + cfg_.series_bucket <= cfg_.end_time) {
-    events_.schedule_in(cfg_.series_bucket, [this]() { sample_series(); });
+    events_.schedule_typed_in(cfg_.series_bucket, EventKind::kSeriesSample);
   }
 }
 
@@ -272,18 +272,22 @@ void FlowSimulator::rebalance_sweep() {
       if (top_up <= 0) continue;
       ++metrics_.rebalance_events;
       metrics_.rebalanced_volume += top_up;
-      events_.schedule_in(cfg_.rebalance_delay, [this, e, side, top_up]() {
-        net_.channel(e).deposit(side, top_up);
-        if (cfg_.auditor != nullptr) {
-          cfg_.auditor->note_external_deposit(top_up);
-        }
-      });
+      events_.schedule_typed_in(
+          cfg_.rebalance_delay, EventKind::kRebalanceDeposit,
+          (std::uint64_t{e} << 1) | static_cast<std::uint64_t>(side),
+          static_cast<std::uint64_t>(top_up));
     }
   }
   if (events_.now() + cfg_.rebalance_interval <= cfg_.end_time) {
-    events_.schedule_in(cfg_.rebalance_interval,
-                        [this]() { rebalance_sweep(); });
+    events_.schedule_typed_in(cfg_.rebalance_interval,
+                              EventKind::kRebalanceSweep);
   }
+}
+
+void FlowSimulator::deposit(graph::EdgeId e, core::Side side,
+                            core::Amount amount) {
+  net_.channel(e).deposit(side, amount);
+  if (cfg_.auditor != nullptr) cfg_.auditor->note_external_deposit(amount);
 }
 
 void FlowSimulator::poll() {
@@ -314,15 +318,34 @@ void FlowSimulator::poll() {
     }
   }
   if (events_.now() + cfg_.poll_interval <= cfg_.end_time) {
-    events_.schedule_in(cfg_.poll_interval, [this]() { poll(); });
+    events_.schedule_typed_in(cfg_.poll_interval, EventKind::kPoll);
   }
 }
 
 void FlowSimulator::dispatch(void* ctx, EventKind kind, std::uint64_t a,
                              std::uint64_t b) {
-  (void)b;
   auto* self = static_cast<FlowSimulator*>(ctx);
   switch (kind) {
+    case EventKind::kArrival:
+      self->attempt(static_cast<core::PaymentId>(a));
+      break;
+    case EventKind::kSettle:
+      self->complete(core::SlabHandle::unpack(a));
+      break;
+    case EventKind::kPoll:
+      self->poll();
+      break;
+    case EventKind::kSeriesSample:
+      self->sample_series();
+      break;
+    case EventKind::kRebalanceSweep:
+      self->rebalance_sweep();
+      break;
+    case EventKind::kRebalanceDeposit:
+      self->deposit(static_cast<graph::EdgeId>(a >> 1),
+                    static_cast<core::Side>(a & 1),
+                    static_cast<core::Amount>(b));
+      break;
     case EventKind::kFaultStart:
       self->apply_fault(static_cast<std::size_t>(a));
       break;
@@ -446,12 +469,12 @@ Metrics FlowSimulator::run(const fluid::PaymentGraph& demand_estimate) {
   if (ran_) throw std::logic_error("FlowSimulator: run called twice");
   ran_ = true;
   if (cfg_.auditor != nullptr) arm_auditor();
+  events_.set_dispatcher(&FlowSimulator::dispatch, this);
   if (faults_ != nullptr) {
-    // One typed event per plan entry, scheduled up front. An empty plan
-    // schedules nothing (and the dispatcher never fires), so the event
-    // sequence -- and therefore every metric bit -- matches a simulator
-    // built without the injector.
-    events_.set_dispatcher(&FlowSimulator::dispatch, this);
+    // One kFaultStart event per plan entry, scheduled up front. An empty
+    // plan schedules nothing, so the event sequence -- and therefore
+    // every metric bit -- matches a simulator built without the
+    // injector.
     faults_->bind(graph_);
     const std::vector<faults::FaultEvent>& plan = faults_->plan().events();
     for (std::size_t i = 0; i < plan.size(); ++i) {
@@ -467,15 +490,15 @@ Metrics FlowSimulator::run(const fluid::PaymentGraph& demand_estimate) {
     if (st.req.arrival > cfg_.end_time) continue;
     ++metrics_.attempted;
     metrics_.attempted_volume += st.req.amount;
-    events_.schedule(st.req.arrival, [this, pid]() { attempt(pid); });
+    events_.schedule_typed(st.req.arrival, EventKind::kArrival, pid);
   }
-  events_.schedule(cfg_.poll_interval, [this]() { poll(); });
+  events_.schedule_typed(cfg_.poll_interval, EventKind::kPoll);
   if (cfg_.collect_series) {
     metrics_.channel_imbalance_series.assign(graph_.edge_count(), {});
-    events_.schedule(cfg_.series_bucket, [this]() { sample_series(); });
+    events_.schedule_typed(cfg_.series_bucket, EventKind::kSeriesSample);
   }
   if (cfg_.enable_rebalancing) {
-    events_.schedule(cfg_.rebalance_interval, [this]() { rebalance_sweep(); });
+    events_.schedule_typed(cfg_.rebalance_interval, EventKind::kRebalanceSweep);
   }
   events_.run_until(cfg_.end_time);
   if (cfg_.auditor != nullptr) {

@@ -129,8 +129,8 @@ class FlowSimulator {
 
   /// A routed share between send() and its delayed completion. Lives in
   /// the `live_sends_` slab -- reachable mid-flight, so a mid-run
-  /// channel closure can cancel it -- instead of being trapped inside
-  /// the completion callback's closure.
+  /// channel closure can cancel it; the kSettle event carries only its
+  /// handle.
   struct LiveSend {
     core::RouteLock lock;
     core::Preimage key = 0;
@@ -138,8 +138,7 @@ class FlowSimulator {
     bool cancelled = false;
   };
 
-  /// Typed-event sink; the flow simulator only receives fault events
-  /// (everything else uses the callback path).
+  /// Event sink: routes each EventKind to the member that handles it.
   static void dispatch(void* ctx, EventKind kind, std::uint64_t a,
                        std::uint64_t b);
 
@@ -164,6 +163,9 @@ class FlowSimulator {
   /// Freezes the channel-state view schemes route against.
   void make_stale_snapshot();
   void rebalance_sweep();
+  /// A rebalancing deposit confirms on-chain: `amount` becomes
+  /// spendable on `side` of edge `e`.
+  void deposit(graph::EdgeId e, core::Side side, core::Amount amount);
   void enqueue_retry(core::PaymentId pid);
   void record_series(core::Amount amount);
   void sample_series();

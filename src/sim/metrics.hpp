@@ -5,8 +5,11 @@
 // across all attempted payments"), plus diagnostics: completion latency,
 // retries, and per-channel imbalance.
 
+#include <array>
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/types.hpp"
@@ -123,5 +126,60 @@ struct Metrics {
 
   friend bool operator==(const Metrics&, const Metrics&) = default;
 };
+
+/// Calls `f(name, member)` for every scalar counter of Metrics, in
+/// report order (the JSON key order and CSV column order of
+/// exp/report.hpp). This is the one list the serializers iterate, so a
+/// new counter is one line here. `member` is a reference to a
+/// std::uint64_t, Amount or double, const when `m` is.
+template <typename M, typename F>
+  requires std::same_as<std::remove_cvref_t<M>, Metrics>
+void for_each_counter(M&& m, F&& f) {
+  f("attempted", m.attempted);
+  f("succeeded", m.succeeded);
+  f("partial", m.partial);
+  f("failed", m.failed);
+  f("attempted_volume", m.attempted_volume);
+  f("delivered_volume", m.delivered_volume);
+  f("completed_volume", m.completed_volume);
+  f("total_attempt_rounds", m.total_attempt_rounds);
+  f("units_sent", m.units_sent);
+  f("sum_completion_latency", m.sum_completion_latency);
+  f("rebalance_events", m.rebalance_events);
+  f("rebalanced_volume", m.rebalanced_volume);
+  f("fees_paid", m.fees_paid);
+  f("fault_events_applied", m.fault_events_applied);
+  f("fault_node_downs", m.fault_node_downs);
+  f("fault_channel_closures", m.fault_channel_closures);
+  f("fault_withhold_spells", m.fault_withhold_spells);
+  f("fault_stale_spells", m.fault_stale_spells);
+  f("fault_units_failed", m.fault_units_failed);
+  f("fault_reroutes", m.fault_reroutes);
+  f("fault_withheld_acks", m.fault_withheld_acks);
+  f("fault_stale_decisions", m.fault_stale_decisions);
+  f("fault_backoff_retries", m.fault_backoff_retries);
+  f("fault_jam_spells", m.fault_jam_spells);
+  f("fault_jam_locked_volume", m.fault_jam_locked_volume);
+  f("fault_grief_spells", m.fault_grief_spells);
+  f("fault_griefed_acks", m.fault_griefed_acks);
+  f("cc_marked_acks", m.cc_marked_acks);
+  f("cc_window_decreases", m.cc_window_decreases);
+  f("cc_timeout_retries", m.cc_timeout_retries);
+}
+
+/// Values derived from the counters, reported after them (JSON keys and
+/// CSV columns) and recomputed, not read back, by the parsers.
+struct DerivedMetric {
+  const char* name;
+  double (Metrics::*value)() const;
+};
+inline constexpr std::array<DerivedMetric, 6> kDerivedMetrics{{
+    {"success_ratio", &Metrics::success_ratio},
+    {"success_volume", &Metrics::success_volume},
+    {"mean_completion_latency", &Metrics::mean_completion_latency},
+    {"latency_p50", &Metrics::latency_p50},
+    {"latency_p95", &Metrics::latency_p95},
+    {"latency_p99", &Metrics::latency_p99},
+}};
 
 }  // namespace spider::sim

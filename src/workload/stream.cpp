@@ -48,7 +48,7 @@ std::uint64_t parse_seed(const std::string& val) {
 class SyntheticStream final : public StreamGenerator {
  public:
   SyntheticStream(const StreamConfig& cfg, const graph::Graph& g)
-      : cfg_(cfg),
+      : cfg_(validated(cfg, g)),
         n_(g.node_count()),
         time_rng_(cfg.seed ^ kTimeSalt),
         pair_rng_(cfg.seed ^ kPairSalt),
@@ -60,23 +60,6 @@ class SyntheticStream final : public StreamGenerator {
         sender_dist_(cfg.sender_skew),
         node_dist_(0, g.node_count() - 1),
         burst_gap_dist_(cfg.burst_every > 0 ? 1.0 / cfg.burst_every : 1.0) {
-    if (n_ < 2) {
-      throw std::invalid_argument("make_stream: need >= 2 nodes");
-    }
-    if (cfg.rate <= 0) {
-      throw std::invalid_argument("make_stream: rate must be > 0");
-    }
-    if (cfg.mean_size <= 0 || cfg.max_size < cfg.mean_size) {
-      throw std::invalid_argument("make_stream: bad size parameters");
-    }
-    if (cfg.kind == StreamKind::kDiurnal &&
-        (cfg.amplitude < 0 || cfg.amplitude >= 1 || cfg.period <= 0)) {
-      throw std::invalid_argument("make_stream: bad diurnal parameters");
-    }
-    if (cfg.kind == StreamKind::kFlash &&
-        (cfg.burst_boost < 1 || cfg.burst_every <= 0 || cfg.burst_len <= 0)) {
-      throw std::invalid_argument("make_stream: bad flash parameters");
-    }
     if (cfg.kind == StreamKind::kFlash) {
       burst_start_ = burst_gap_dist_(burst_rng_);
     }
@@ -101,6 +84,33 @@ class SyntheticStream final : public StreamGenerator {
   }
 
  private:
+  /// Runs every config check; initializes cfg_, the first member, so no
+  /// distribution is built from a config that breaks its preconditions.
+  static const StreamConfig& validated(const StreamConfig& cfg,
+                                       const graph::Graph& g) {
+    if (g.node_count() < 2) {
+      throw std::invalid_argument("make_stream: need >= 2 nodes");
+    }
+    if (!(cfg.rate > 0)) {
+      throw std::invalid_argument("make_stream: rate must be > 0");
+    }
+    if (cfg.mean_size <= 0 || cfg.max_size < cfg.mean_size) {
+      throw std::invalid_argument("make_stream: bad size parameters");
+    }
+    if (!(cfg.sender_skew > 0)) {
+      throw std::invalid_argument("make_stream: skew must be > 0");
+    }
+    if (cfg.kind == StreamKind::kDiurnal &&
+        (cfg.amplitude < 0 || cfg.amplitude >= 1 || cfg.period <= 0)) {
+      throw std::invalid_argument("make_stream: bad diurnal parameters");
+    }
+    if (cfg.kind == StreamKind::kFlash &&
+        (cfg.burst_boost < 1 || cfg.burst_every <= 0 || cfg.burst_len <= 0)) {
+      throw std::invalid_argument("make_stream: bad flash parameters");
+    }
+    return cfg;
+  }
+
   static double peak_rate(const StreamConfig& cfg) {
     switch (cfg.kind) {
       case StreamKind::kDiurnal:

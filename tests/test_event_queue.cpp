@@ -2,38 +2,58 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace spider::sim {
 namespace {
 
+using Fired = std::vector<std::pair<EventKind, std::uint64_t>>;
+
+/// Test dispatcher: records (kind, payload a) in firing order.
+struct Capture {
+  Fired fired;
+  static void dispatch(void* ctx, EventKind kind, std::uint64_t a,
+                       std::uint64_t /*b*/) {
+    static_cast<Capture*>(ctx)->fired.emplace_back(kind, a);
+  }
+};
+
 TEST(EventQueue, RunsInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.schedule(3.0, [&]() { order.push_back(3); });
-  q.schedule(1.0, [&]() { order.push_back(1); });
-  q.schedule(2.0, [&]() { order.push_back(2); });
+  Capture cap;
+  q.set_dispatcher(&Capture::dispatch, &cap);
+  q.schedule_typed(3.0, EventKind::kPoll, 3);
+  q.schedule_typed(1.0, EventKind::kPoll, 1);
+  q.schedule_typed(2.0, EventKind::kPoll, 2);
   q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(cap.fired, (Fired{{EventKind::kPoll, 1},
+                              {EventKind::kPoll, 2},
+                              {EventKind::kPoll, 3}}));
   EXPECT_DOUBLE_EQ(q.now(), 3.0);
 }
 
 TEST(EventQueue, TiesBreakByInsertionOrder) {
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule(1.0, [&order, i]() { order.push_back(i); });
+  Capture cap;
+  q.set_dispatcher(&Capture::dispatch, &cap);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    q.schedule_typed(1.0, EventKind::kPoll, i);
   }
   q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  ASSERT_EQ(cap.fired.size(), 5u);
+  for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(cap.fired[i].second, i);
 }
 
 TEST(EventQueue, RunUntilStopsAtBoundary) {
   EventQueue q;
-  int fired = 0;
-  q.schedule(1.0, [&]() { ++fired; });
-  q.schedule(2.0, [&]() { ++fired; });
-  q.schedule(5.0, [&]() { ++fired; });
+  Capture cap;
+  q.set_dispatcher(&Capture::dispatch, &cap);
+  q.schedule_typed(1.0, EventKind::kPoll);
+  q.schedule_typed(2.0, EventKind::kPoll);
+  q.schedule_typed(5.0, EventKind::kPoll);
   q.run_until(2.0);  // inclusive boundary
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(cap.fired.size(), 2u);
   EXPECT_DOUBLE_EQ(q.now(), 2.0);
   EXPECT_EQ(q.pending(), 1u);
 }
@@ -45,40 +65,35 @@ TEST(EventQueue, RunUntilAdvancesClockWithoutEvents) {
 }
 
 TEST(EventQueue, EventsCanScheduleEvents) {
-  EventQueue q;
-  int count = 0;
-  std::function<void()> tick = [&]() {
-    ++count;
-    if (count < 4) q.schedule_in(1.0, tick);
-  };
-  q.schedule(0.0, tick);
-  q.run_all();
-  EXPECT_EQ(count, 4);
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
+  // A periodic event re-arms itself from the dispatcher, the way the
+  // simulators drive their polls and sweeps.
+  struct Ticker {
+    EventQueue q;
+    int count = 0;
+  } t;
+  t.q.set_dispatcher(
+      [](void* ctx, EventKind kind, std::uint64_t, std::uint64_t) {
+        auto* self = static_cast<Ticker*>(ctx);
+        if (++self->count < 4) self->q.schedule_typed_in(1.0, kind);
+      },
+      &t);
+  t.q.schedule_typed(0.0, EventKind::kPoll);
+  t.q.run_all();
+  EXPECT_EQ(t.count, 4);
+  EXPECT_DOUBLE_EQ(t.q.now(), 3.0);
 }
 
 TEST(EventQueue, PastSchedulingThrows) {
   EventQueue q;
-  q.schedule(2.0, []() {});
-  q.run_all();
-  EXPECT_THROW(q.schedule(1.0, []() {}), std::invalid_argument);
+  EXPECT_THROW(q.schedule_typed_in(-1.0, EventKind::kPoll),
+               std::invalid_argument);
+  EXPECT_EQ(q.pending(), 0u);
 }
 
 TEST(EventQueue, RunNextReturnsFalseWhenEmpty) {
   EventQueue q;
   EXPECT_FALSE(q.run_next());
 }
-
-// ---- Typed-event engine (PR 2 substrate) ----
-
-/// Test dispatcher: records (kind, payload a) in firing order.
-struct Capture {
-  std::vector<std::pair<EventKind, std::uint64_t>> fired;
-  static void dispatch(void* ctx, EventKind kind, std::uint64_t a,
-                       std::uint64_t /*b*/) {
-    static_cast<Capture*>(ctx)->fired.emplace_back(kind, a);
-  }
-};
 
 TEST(EventQueue, TypedEventsFireInTimeOrderThroughDispatcher) {
   EventQueue q;
@@ -88,37 +103,35 @@ TEST(EventQueue, TypedEventsFireInTimeOrderThroughDispatcher) {
   q.schedule_typed(1.0, EventKind::kArrival, 10);
   q.schedule_typed(2.0, EventKind::kHopAdvance, 20);
   q.run_all();
-  ASSERT_EQ(cap.fired.size(), 3u);
-  EXPECT_EQ(cap.fired[0],
-            std::make_pair(EventKind::kArrival, std::uint64_t{10}));
-  EXPECT_EQ(cap.fired[1],
-            std::make_pair(EventKind::kHopAdvance, std::uint64_t{20}));
-  EXPECT_EQ(cap.fired[2], std::make_pair(EventKind::kAck, std::uint64_t{30}));
+  EXPECT_EQ(cap.fired, (Fired{{EventKind::kArrival, 10},
+                              {EventKind::kHopAdvance, 20},
+                              {EventKind::kAck, 30}}));
   EXPECT_EQ(q.processed(), 3u);
 }
 
 TEST(EventQueue, SameTimeFifoSurvivesMixedTypedAndCallbackEvents) {
-  // Regression for the typed-engine rewrite: both scheduling paths draw
-  // from one sequence counter, so same-time events of either flavour
-  // fire in exact insertion order.
+  // Every kind and every scheduling call (absolute, relative, reserved)
+  // draws from one sequence counter, so same-time events of mixed kinds
+  // fire in exact insertion order. The kinds mixed here include the ones
+  // that replaced the former std::function callbacks (arrival, settle,
+  // poll, rebalance sweep).
   EventQueue q;
-  std::vector<int> order;
-  struct Ctx {
-    std::vector<int>* order;
-    static void dispatch(void* ctx, EventKind, std::uint64_t a,
-                         std::uint64_t) {
-      static_cast<Ctx*>(ctx)->order->push_back(static_cast<int>(a));
-    }
-  } ctx{&order};
-  q.set_dispatcher(&Ctx::dispatch, &ctx);
-  q.schedule(1.0, [&]() { order.push_back(0); });
+  Capture cap;
+  q.set_dispatcher(&Capture::dispatch, &cap);
+  q.schedule_typed(1.0, EventKind::kPoll, 0);
   q.schedule_typed(1.0, EventKind::kArrival, 1);
-  q.schedule(1.0, [&]() { order.push_back(2); });
+  const std::uint64_t seq = q.reserve_seqs(1);
   q.schedule_typed(1.0, EventKind::kAck, 3);
-  q.schedule_typed(1.0, EventKind::kExpirySweep, 4);
-  q.schedule(1.0, [&]() { order.push_back(5); });
+  q.schedule_typed_reserved(1.0, EventKind::kSettle, seq, 2);
+  q.schedule_typed_in(1.0, EventKind::kExpirySweep, 4);
+  q.schedule_typed(1.0, EventKind::kRebalanceSweep, 5);
   q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(cap.fired, (Fired{{EventKind::kPoll, 0},
+                              {EventKind::kArrival, 1},
+                              {EventKind::kSettle, 2},
+                              {EventKind::kAck, 3},
+                              {EventKind::kExpirySweep, 4},
+                              {EventKind::kRebalanceSweep, 5}}));
 }
 
 TEST(EventQueue, TypedPastSchedulingThrows) {
@@ -131,15 +144,6 @@ TEST(EventQueue, TypedPastSchedulingThrows) {
                std::invalid_argument);
   const std::uint64_t seq = q.reserve_seqs(1);
   EXPECT_THROW(q.schedule_typed_reserved(1.0, EventKind::kArrival, seq),
-               std::invalid_argument);
-}
-
-TEST(EventQueue, CallbackKindIsInternal) {
-  EventQueue q;
-  EXPECT_THROW(q.schedule_typed(1.0, EventKind::kCallback),
-               std::invalid_argument);
-  const std::uint64_t seq = q.reserve_seqs(1);
-  EXPECT_THROW(q.schedule_typed_reserved(1.0, EventKind::kCallback, seq),
                std::invalid_argument);
 }
 
@@ -164,10 +168,10 @@ TEST(EventQueue, ReservedSequencesOrderLikeUpfrontScheduling) {
   // A typed event scheduled after the reservation draws a later seq.
   q.schedule_typed(1.0, EventKind::kAck, 3);
   q.run_all();
-  ASSERT_EQ(cap.fired.size(), 4u);
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(cap.fired[i].second, i);
-  }
+  EXPECT_EQ(cap.fired, (Fired{{EventKind::kArrival, 0},
+                              {EventKind::kArrival, 1},
+                              {EventKind::kArrival, 2},
+                              {EventKind::kAck, 3}}));
 }
 
 }  // namespace

@@ -8,10 +8,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <random>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "exp/histogram.hpp"
@@ -170,26 +173,120 @@ TEST(Report, MetricsJsonRoundTrip) {
   EXPECT_EQ(exp::report::metrics_to_json(restored).dump(2), text);
 }
 
+/// A snapshot whose every counter holds a distinct value, set through
+/// the counter list so a counter added later is covered automatically.
+sim::Metrics distinct_counters() {
+  sim::Metrics m;
+  std::uint64_t k = 0;
+  sim::for_each_counter(m, [&k](const char*, auto& v) {
+    // 1000k + 1 for integer counters; double ones also get a fraction.
+    v = static_cast<std::remove_reference_t<decltype(v)>>(++k * 1000 + 1.25);
+  });
+  return m;
+}
+
 TEST(Report, MetricsCsvRoundTrip) {
-  const std::vector<exp::TrialSpec> trials = small_grid();
-  const exp::TrialResult r = exp::run_trial(trials[0]);
-  const std::string row = exp::report::metrics_csv_row(r.metrics);
-  const sim::Metrics restored = exp::report::metrics_from_csv_row(row);
-  EXPECT_EQ(restored.attempted, r.metrics.attempted);
-  EXPECT_EQ(restored.succeeded, r.metrics.succeeded);
-  EXPECT_EQ(restored.partial, r.metrics.partial);
-  EXPECT_EQ(restored.failed, r.metrics.failed);
-  EXPECT_EQ(restored.attempted_volume, r.metrics.attempted_volume);
-  EXPECT_EQ(restored.delivered_volume, r.metrics.delivered_volume);
-  EXPECT_EQ(restored.completed_volume, r.metrics.completed_volume);
-  EXPECT_EQ(restored.total_attempt_rounds, r.metrics.total_attempt_rounds);
-  EXPECT_EQ(restored.units_sent, r.metrics.units_sent);
-  EXPECT_DOUBLE_EQ(restored.sum_completion_latency,
-                   r.metrics.sum_completion_latency);
-  EXPECT_EQ(restored.fees_paid, r.metrics.fees_paid);
-  // Derived columns agree with the originals after reconstruction.
-  EXPECT_DOUBLE_EQ(restored.success_ratio(), r.metrics.success_ratio());
-  EXPECT_DOUBLE_EQ(restored.success_volume(), r.metrics.success_volume());
+  const sim::Metrics m = distinct_counters();
+  const sim::Metrics restored =
+      exp::report::metrics_from_csv_row(exp::report::metrics_csv_row(m));
+  EXPECT_TRUE(restored == m);
+  EXPECT_TRUE(exp::report::metrics_from_json(exp::Json::parse(
+                  exp::report::metrics_to_json(m).dump())) == m);
+}
+
+TEST(Report, MetricsCsvHeaderAndJsonKeyOrderAreStable) {
+  // Goldens: report consumers key on these names and this order.
+  EXPECT_EQ(exp::report::metrics_csv_header(),
+            "attempted,succeeded,partial,failed,attempted_volume,"
+            "delivered_volume,completed_volume,total_attempt_rounds,"
+            "units_sent,sum_completion_latency,rebalance_events,"
+            "rebalanced_volume,fees_paid,fault_events_applied,"
+            "fault_node_downs,fault_channel_closures,fault_withhold_spells,"
+            "fault_stale_spells,fault_units_failed,fault_reroutes,"
+            "fault_withheld_acks,fault_stale_decisions,fault_backoff_retries,"
+            "fault_jam_spells,fault_jam_locked_volume,fault_grief_spells,"
+            "fault_griefed_acks,cc_marked_acks,cc_window_decreases,"
+            "cc_timeout_retries,success_ratio,success_volume,"
+            "mean_completion_latency,latency_p50,latency_p95,latency_p99");
+  sim::Metrics m;
+  m.attempted = 4;
+  m.succeeded = 3;
+  m.attempted_volume = 9000;
+  m.delivered_volume = 7000;
+  m.sum_completion_latency = 1.5;
+  m.fees_paid = 12;
+  m.fault_jam_locked_volume = 5;
+  m.cc_timeout_retries = 2;
+  EXPECT_EQ(exp::report::metrics_csv_row(m),
+            "4,3,0,0,9000,7000,0,0,0,1.5,0,0,12,0,0,0,0,0,0,0,0,0,0,0,5,0,0,"
+            "0,0,2,0.75,0.7777777777777778,0.5,0,0,0");
+  // JSON keys: the CSV columns in the same order, then the structured
+  // fields.
+  const std::string json = exp::report::metrics_to_json(m).dump();
+  const std::string keys = exp::report::metrics_csv_header() +
+                           ",latency_hist,series_bucket,delivered_series,"
+                           "channel_imbalance_series,queue_depth_series";
+  std::size_t at = 0;
+  for (std::size_t start = 0, comma = 0; comma != std::string::npos;
+       start = comma + 1) {
+    comma = keys.find(',', start);
+    const std::string key = '"' + keys.substr(start, comma - start) + "\":";
+    at = json.find(key, at);
+    ASSERT_NE(at, std::string::npos) << key << " missing or out of order";
+  }
+}
+
+/// Runs `fn` and expects a std::runtime_error whose message names `what`.
+template <typename Fn>
+void expect_runtime_error_naming(Fn fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "no exception; expected one naming " << what;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Report, MetricsCsvRejectsMalformedColumns) {
+  struct Case {
+    std::size_t column;
+    const char* value;
+    const char* name;
+  };
+  // In an all-zero row column k (k < 10) sits at offset 2k; the names
+  // follow the header golden above.
+  const std::string good = exp::report::metrics_csv_row(sim::Metrics{});
+  for (const Case& c : {Case{0, "-1", "attempted"},
+                        Case{5, "12abc", "delivered_volume"},
+                        Case{9, "1.5xyz", "sum_completion_latency"}}) {
+    const std::string row =
+        std::string(good).replace(2 * c.column, 1, c.value);
+    expect_runtime_error_naming(
+        [&row] { (void)exp::report::metrics_from_csv_row(row); }, c.name);
+  }
+  EXPECT_TRUE(exp::report::metrics_from_csv_row(good) == sim::Metrics{});
+}
+
+TEST(Report, MetricsJsonRejectsMissingAndMistypedFields) {
+  struct Case {
+    const char* from;
+    const char* to;
+    const char* name;
+  };
+  const std::string good = exp::report::metrics_to_json(sim::Metrics{}).dump();
+  for (const Case& c :
+       {Case{R"("fees_paid":0,)", "", "fees_paid"},
+        Case{R"("units_sent":0)", R"("units_sent":"zero")", "units_sent"},
+        Case{R"("counts":[])", R"("counts":7)", "latency_hist"}}) {
+    std::string text = good;
+    const std::size_t at = text.find(c.from);
+    ASSERT_NE(at, std::string::npos) << c.from;
+    const exp::Json j =
+        exp::Json::parse(text.replace(at, std::strlen(c.from), c.to));
+    expect_runtime_error_naming(
+        [&j] { (void)exp::report::metrics_from_json(j); }, c.name);
+  }
 }
 
 TEST(Report, SpiderCcCountersSurviveJsonAndCsvRoundTrip) {
@@ -217,11 +314,12 @@ TEST(Report, SpiderCcCountersSurviveJsonAndCsvRoundTrip) {
       exp::report::metrics_from_json(exp::Json::parse(j.dump(2)));
   EXPECT_TRUE(from_json == r.metrics);
 
-  const sim::Metrics from_csv = exp::report::metrics_from_csv_row(
-      exp::report::metrics_csv_row(r.metrics));
-  EXPECT_EQ(from_csv.cc_marked_acks, r.metrics.cc_marked_acks);
-  EXPECT_EQ(from_csv.cc_window_decreases, r.metrics.cc_window_decreases);
-  EXPECT_EQ(from_csv.cc_timeout_retries, r.metrics.cc_timeout_retries);
+  // Every counter survives the CSV row (the histogram behind the derived
+  // percentiles does not travel, so lend it back).
+  const std::string row = exp::report::metrics_csv_row(r.metrics);
+  sim::Metrics from_csv = exp::report::metrics_from_csv_row(row);
+  from_csv.latency_hist = r.metrics.latency_hist;
+  EXPECT_EQ(exp::report::metrics_csv_row(from_csv), row);
 }
 
 TEST(Sweep, PacketBackedTrialsAreThreadCountDeterministic) {

@@ -515,15 +515,12 @@ TEST(FaultReport, CountersRoundTripThroughJsonAndCsv) {
       exp::report::metrics_from_json(exp::report::metrics_to_json(m));
   EXPECT_EQ(m, from_json);
 
-  const sim::Metrics from_csv =
-      exp::report::metrics_from_csv_row(exp::report::metrics_csv_row(m));
-  EXPECT_EQ(from_csv.fault_events_applied, m.fault_events_applied);
-  EXPECT_EQ(from_csv.fault_node_downs, m.fault_node_downs);
-  EXPECT_EQ(from_csv.fault_withhold_spells, m.fault_withhold_spells);
-  EXPECT_EQ(from_csv.fault_units_failed, m.fault_units_failed);
-  EXPECT_EQ(from_csv.fault_reroutes, m.fault_reroutes);
-  EXPECT_EQ(from_csv.fault_withheld_acks, m.fault_withheld_acks);
-  EXPECT_EQ(from_csv.fault_backoff_retries, m.fault_backoff_retries);
+  // The CSV row carries every counter but not the latency histogram the
+  // derived percentiles come from; lend it back and compare whole rows.
+  const std::string row = exp::report::metrics_csv_row(m);
+  sim::Metrics from_csv = exp::report::metrics_from_csv_row(row);
+  from_csv.latency_hist = m.latency_hist;
+  EXPECT_EQ(exp::report::metrics_csv_row(from_csv), row);
 }
 
 }  // namespace

@@ -59,14 +59,11 @@ TEST(StreamSpec, RejectsMalformedSpecs) {
   EXPECT_THROW((void)workload::parse_stream_spec("steady;rate=abc"),
                std::invalid_argument);
   const graph::Graph g = graph::topology::make_ring(8);
-  EXPECT_THROW((void)workload::make_stream("steady;rate=0", g),
-               std::invalid_argument);
-  EXPECT_THROW((void)workload::make_stream("diurnal;amp=1.5", g),
-               std::invalid_argument);
-  EXPECT_THROW((void)workload::make_stream("flash;boost=0.5", g),
-               std::invalid_argument);
-  EXPECT_THROW((void)workload::make_stream("trace", g),
-               std::invalid_argument);
+  for (const char* spec : {"steady;rate=0", "steady;rate=nan", "steady;skew=0",
+                           "diurnal;amp=1.5", "flash;boost=0.5", "trace"}) {
+    EXPECT_THROW((void)workload::make_stream(spec, g), std::invalid_argument)
+        << spec;
+  }
 }
 
 TEST(StreamGenerator, SameSpecIsByteIdentical) {
