@@ -2,8 +2,8 @@
 // precomputation: full-Ripple (3774 nodes, the paper's topology size)
 // and a 100k-node Lightning-like network.
 //
-// Per topology it times graph construction (bulk reserve + insertion),
-// the CSR freeze, path precomputation serial vs multi-threaded (the
+// Per topology it times graph construction (edge list + one CSR arena
+// build), path precomputation serial vs multi-threaded (the
 // PathTable checksum is asserted byte-identical across thread counts --
 // DESIGN.md §7 extended to setup work), and a packet-simulator trial
 // fed from the precomputed table (events/sec). The ripple-3774 block
@@ -34,7 +34,6 @@
 
 #include "bench_util.hpp"
 #include "exp/path_precompute.hpp"
-#include "graph/csr.hpp"
 #include "sim/packet_sim.hpp"
 
 namespace {
@@ -99,20 +98,20 @@ struct PrecomputeTiming {
 
 /// Runs the precompute serial and at 2 and `threads` workers, asserts
 /// the PathTable fingerprints agree, and returns the timings.
-PrecomputeTiming time_precompute(const graph::CsrGraph& csr,
+PrecomputeTiming time_precompute(const graph::Graph& g,
                                  const exp::PathPrecomputePlan& plan,
                                  std::size_t k, std::size_t threads) {
   PrecomputeTiming r;
   r.parallel_threads = threads;
   auto t0 = Clock::now();
   const graph::PathTable serial =
-      exp::precompute_paths(csr, plan, k, exp::Runner(1));
+      exp::precompute_paths(g, plan, k, exp::Runner(1));
   r.serial_seconds = seconds_since(t0);
   const graph::PathTable two =
-      exp::precompute_paths(csr, plan, k, exp::Runner(2));
+      exp::precompute_paths(g, plan, k, exp::Runner(2));
   t0 = Clock::now();
   graph::PathTable parallel =
-      exp::precompute_paths(csr, plan, k, exp::Runner(threads));
+      exp::precompute_paths(g, plan, k, exp::Runner(threads));
   r.parallel_seconds = seconds_since(t0);
   r.checksums_equal = serial.checksum() == two.checksum() &&
                       serial.checksum() == parallel.checksum();
@@ -184,17 +183,12 @@ struct ScaleBlock {
 exp::Json run_block(const ScaleBlock& b, std::size_t threads) {
   std::printf("\n--- %s ---\n", b.topology.c_str());
 
-  auto t0 = Clock::now();
+  const auto t0 = Clock::now();
   const graph::Graph g = exp::make_named_topology(b.topology);
   const double build_seconds = seconds_since(t0);
-
-  t0 = Clock::now();
-  const graph::CsrGraph csr(g);
-  const double freeze_seconds = seconds_since(t0);
-  std::printf("%zu nodes / %zu edges: build %.3f s, CSR freeze %.3f s "
-              "(%.1f MiB arena)\n",
-              g.node_count(), g.edge_count(), build_seconds, freeze_seconds,
-              static_cast<double>(csr.memory_bytes()) / (1024.0 * 1024.0));
+  std::printf("%zu nodes / %zu edges: build %.3f s (%.1f MiB arena)\n",
+              g.node_count(), g.edge_count(), build_seconds,
+              static_cast<double>(g.memory_bytes()) / (1024.0 * 1024.0));
   const double build_rss_mb = current_rss_mb();
 
   // Workload trace first: its (src, dst) pairs seed the precompute plan,
@@ -212,7 +206,7 @@ exp::Json run_block(const ScaleBlock& b, std::size_t threads) {
   pairs.insert(pairs.end(), strided.begin(), strided.end());
   const auto plan = exp::PathPrecomputePlan::make(std::move(pairs));
 
-  const PrecomputeTiming pc = time_precompute(csr, plan, 4, threads);
+  const PrecomputeTiming pc = time_precompute(g, plan, 4, threads);
   const double precompute_rss_mb = current_rss_mb();
   const double speedup = pc.parallel_seconds > 0.0
                              ? pc.serial_seconds / pc.parallel_seconds
@@ -239,9 +233,8 @@ exp::Json run_block(const ScaleBlock& b, std::size_t threads) {
   j.set("nodes", static_cast<std::uint64_t>(g.node_count()));
   j.set("edges", static_cast<std::uint64_t>(g.edge_count()));
   j.set("build_seconds", build_seconds);
-  j.set("freeze_seconds", freeze_seconds);
-  j.set("csr_bytes", static_cast<std::uint64_t>(csr.memory_bytes()));
-  j.set("csr_checksum", csr.checksum());
+  j.set("csr_bytes", static_cast<std::uint64_t>(g.memory_bytes()));
+  j.set("csr_checksum", g.checksum());
   exp::Json jp = exp::Json::object();
   jp.set("pairs", static_cast<std::uint64_t>(plan.pairs.size()));
   jp.set("k", static_cast<std::uint64_t>(4));
@@ -294,9 +287,8 @@ int main(int argc, char** argv) {
 
   // 100k-node Lightning-like network: an order of magnitude past any
   // deployed payment-channel topology of the paper's era. The node
-  // count stays 100k at reduced scale -- building, freezing, and
-  // precomputing at that size IS the benchmark; only the workload
-  // shrinks.
+  // count stays 100k at reduced scale -- building and precomputing at
+  // that size IS the benchmark; only the workload shrinks.
   ScaleBlock lightning;
   lightning.topology = "lightning-100k";
   lightning.sim_txns = full ? 2000 : 500;

@@ -50,48 +50,53 @@ void BM_YenKShortest(benchmark::State& state) {
 }
 BENCHMARK(BM_YenKShortest)->Arg(2)->Arg(4)->Arg(8);
 
-// --- CSR + PathFinder variants of the hot queries: same algorithms on
-// the frozen arena with reusable scratch. The gap to the legacy
-// adjacency-list benchmarks above is the substrate win; Yen in
-// particular used to re-allocate its candidate set and blocked-edge
-// mask per spur, quadratic in k.
+// --- PathFinder variants of the hot queries: same algorithms with
+// scratch reused across queries. The gap to the free-function
+// benchmarks above is the per-call scratch setup; Yen in particular
+// used to re-allocate its candidate set and blocked-edge mask per spur,
+// quadratic in k.
 
-void BM_CsrBfsShortestPath_Isp32(benchmark::State& state) {
-  const graph::CsrGraph g{graph::topology::make_isp32()};
+void BM_FinderBfsShortestPath_Isp32(benchmark::State& state) {
+  const graph::Graph g = graph::topology::make_isp32();
   graph::PathFinder finder;
   for (auto _ : state) {
     benchmark::DoNotOptimize(finder.bfs_shortest(g, 9, 30));
   }
 }
-BENCHMARK(BM_CsrBfsShortestPath_Isp32);
+BENCHMARK(BM_FinderBfsShortestPath_Isp32);
 
-void BM_CsrEdgeDisjointPaths_Isp32(benchmark::State& state) {
-  const graph::CsrGraph g{graph::topology::make_isp32()};
+void BM_FinderEdgeDisjointPaths_Isp32(benchmark::State& state) {
+  const graph::Graph g = graph::topology::make_isp32();
   graph::PathFinder finder;
   for (auto _ : state) {
     benchmark::DoNotOptimize(finder.edge_disjoint(g, 9, 30, 4));
   }
 }
-BENCHMARK(BM_CsrEdgeDisjointPaths_Isp32);
+BENCHMARK(BM_FinderEdgeDisjointPaths_Isp32);
 
-void BM_CsrYenKShortest(benchmark::State& state) {
-  const graph::CsrGraph g{graph::topology::make_isp32()};
+void BM_FinderYenKShortest(benchmark::State& state) {
+  const graph::Graph g = graph::topology::make_isp32();
   graph::PathFinder finder;
   const auto k = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(finder.yen(g, 9, 30, k));
   }
 }
-BENCHMARK(BM_CsrYenKShortest)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_FinderYenKShortest)->Arg(2)->Arg(4)->Arg(8);
 
-void BM_CsrFreeze(benchmark::State& state) {
+void BM_GraphBuild(benchmark::State& state) {
+  // Arena construction alone, from a ready edge list.
   const graph::Graph g = graph::topology::make_ripple_like(
       static_cast<std::size_t>(state.range(0)), 13);
+  std::vector<graph::EdgeEnds> edges;
+  for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
+    edges.push_back({g.edge_u(e), g.edge_v(e)});
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::CsrGraph{g});
+    benchmark::DoNotOptimize(graph::Graph(g.node_count(), edges));
   }
 }
-BENCHMARK(BM_CsrFreeze)->Arg(400)->Arg(3774);
+BENCHMARK(BM_GraphBuild)->Arg(400)->Arg(3774);
 
 void BM_MaxFlow(benchmark::State& state) {
   const graph::Graph g = graph::topology::make_ripple_like(

@@ -1,12 +1,26 @@
 #include "core/network_io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "graph/graphio.hpp"
+
 namespace spider::core {
+
+namespace {
+
+/// Parses a whole CSV field as an amount; false on any stray character.
+bool parse_amount(const std::string& field, Amount& out) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+  return ec == std::errc{} && ptr == end;
+}
+
+}  // namespace
 
 void write_channels_csv(std::ostream& os, const graph::Graph& g,
                         const std::vector<std::pair<Amount, Amount>>& deps) {
@@ -21,11 +35,8 @@ void write_channels_csv(std::ostream& os, const graph::Graph& g,
 }
 
 NetworkSnapshot read_channels_csv(std::istream& is) {
-  struct Row {
-    graph::NodeId u, v;
-    Amount a, b;
-  };
-  std::vector<Row> rows;
+  std::vector<graph::EdgeEnds> edges;
+  NetworkSnapshot snap;
   graph::NodeId max_node = 0;
   std::string line;
   std::size_t line_no = 0;
@@ -41,31 +52,24 @@ NetworkSnapshot read_channels_csv(std::istream& is) {
                                  std::to_string(line_no));
       }
     }
-    Row r;
-    try {
-      r.u = static_cast<graph::NodeId>(std::stoul(f[0]));
-      r.v = static_cast<graph::NodeId>(std::stoul(f[1]));
-      r.a = std::stoll(f[2]);
-      r.b = std::stoll(f[3]);
-    } catch (const std::exception&) {
+    const std::optional<graph::NodeId> u = graph::parse_node_id(f[0]);
+    const std::optional<graph::NodeId> v = graph::parse_node_id(f[1]);
+    Amount a = 0;
+    Amount b = 0;
+    if (!u || !v || !parse_amount(f[2], a) || !parse_amount(f[3], b)) {
       throw std::runtime_error("read_channels_csv: bad field on line " +
                                std::to_string(line_no));
     }
-    if (r.a < 0 || r.b < 0 || r.a + r.b == 0) {
+    if (a < 0 || b < 0 || (a == 0 && b == 0)) {
       throw std::runtime_error("read_channels_csv: invalid balances on line " +
                                std::to_string(line_no));
     }
-    rows.push_back(r);
-    max_node = std::max({max_node, r.u, r.v});
+    edges.push_back({*u, *v});
+    snap.deposits.emplace_back(a, b);
+    max_node = std::max({max_node, *u, *v});
   }
-  NetworkSnapshot snap;
   snap.graph = graph::Graph(
-      rows.empty() ? 0 : static_cast<std::size_t>(max_node) + 1);
-  snap.deposits.reserve(rows.size());
-  for (const Row& r : rows) {
-    snap.graph.add_edge(r.u, r.v);
-    snap.deposits.emplace_back(r.a, r.b);
-  }
+      edges.empty() ? 0 : static_cast<std::size_t>(max_node) + 1, edges);
   return snap;
 }
 

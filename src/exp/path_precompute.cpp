@@ -44,14 +44,14 @@ PathPrecomputePlan PathPrecomputePlan::make(
   return plan;
 }
 
-graph::PathTable precompute_paths(const graph::CsrGraph& g,
+graph::PathTable precompute_paths(const graph::Graph& g,
                                   const PathPrecomputePlan& plan,
                                   std::size_t k, const Runner& runner,
                                   PathKind kind) {
   // Fan out: one private PathFinder per chunk invocation, one result
   // slot per chunk (Runner::map returns slots in chunk-index order no
-  // matter which thread ran what). Queries read only the frozen CSR
-  // arena, so there is no shared mutable state to race on.
+  // matter which thread ran what). Queries only read the immutable
+  // graph, so there is no shared mutable state to race on.
   std::vector<std::vector<std::vector<graph::Path>>> per_chunk = runner.map(
       plan.chunks.size(), [&](std::size_t ci) {
         const PrecomputeChunk& c = plan.chunks[ci];

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "exp/runner.hpp"
-#include "graph/csr.hpp"
+#include "graph/graph.hpp"
 #include "graph/path_table.hpp"
 
 namespace spider::exp {
@@ -73,7 +73,7 @@ struct PathPrecomputePlan {
 /// byte-identical at any thread count. The graph must stay alive for
 /// the duration of the call only (the table copies everything).
 [[nodiscard]] graph::PathTable precompute_paths(
-    const graph::CsrGraph& g, const PathPrecomputePlan& plan, std::size_t k,
+    const graph::Graph& g, const PathPrecomputePlan& plan, std::size_t k,
     const Runner& runner, PathKind kind = PathKind::kEdgeDisjoint);
 
 }  // namespace spider::exp

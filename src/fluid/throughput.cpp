@@ -49,24 +49,22 @@ void enumerate_trails(const Graph& g, NodeId at, NodeId t,
 
 PathSet edge_disjoint_path_set(const Graph& g, const PaymentGraph& demands,
                                std::size_t k) {
-  // Freeze once, reuse one finder's scratch across every demand pair:
-  // this loop is the spider-lp / primal-dual setup cost on big graphs.
-  const graph::CsrGraph csr(g);
+  // Reuse one finder's scratch across every demand pair: this loop is
+  // the spider-lp / primal-dual setup cost on big graphs.
   graph::PathFinder finder;
   PathSet ps;
   for (const Demand& d : demands.demands()) {
-    ps[{d.src, d.dst}] = finder.edge_disjoint(csr, d.src, d.dst, k);
+    ps[{d.src, d.dst}] = finder.edge_disjoint(g, d.src, d.dst, k);
   }
   return ps;
 }
 
 PathSet k_shortest_path_set(const Graph& g, const PaymentGraph& demands,
                             std::size_t k) {
-  const graph::CsrGraph csr(g);
   graph::PathFinder finder;
   PathSet ps;
   for (const Demand& d : demands.demands()) {
-    ps[{d.src, d.dst}] = finder.yen(csr, d.src, d.dst, k);
+    ps[{d.src, d.dst}] = finder.yen(g, d.src, d.dst, k);
   }
   return ps;
 }
@@ -75,6 +73,9 @@ PathSet all_trails_path_set(const Graph& g, const PaymentGraph& demands,
                             std::size_t max_paths_per_pair) {
   PathSet ps;
   for (const Demand& d : demands.demands()) {
+    if (d.src >= g.node_count() || d.dst >= g.node_count()) {
+      throw std::out_of_range("all_trails_path_set: demand node not in graph");
+    }
     std::vector<graph::Path> trails;
     std::vector<ArcId> walk;
     std::vector<char> used(g.edge_count(), 0);

@@ -1,113 +1,12 @@
 #pragma once
-// Frozen compressed-sparse-row view of a graph::Graph.
-//
-// The mutable Graph stores adjacency as a vector-of-vectors: one heap
-// allocation per node plus an EdgeRec lookup per head()/tail() call.
-// That is fine while building a topology, but path precomputation over
-// a 100k-node network walks those lists millions of times, and the
-// pointer chasing dominates wall time long before the packet simulator
-// does (ISSUE 7 / ROADMAP item 1).
-//
-// CsrGraph freezes a finished Graph into one contiguous uint32 arena:
-//
-//   arena_ = [ offsets: n+1 | arcs: 2m | heads: 2m ]
-//
-// * `offsets[u] .. offsets[u+1]` delimits node u's slice of the arcs
-//   segment; `out_arcs(u)` is a span into the arena, in the exact
-//   insertion order the source Graph used (so every traversal visits
-//   neighbours in the same order and paths stay byte-identical to the
-//   adjacency-list runs -- the DESIGN.md §7 contract).
-// * `heads[a]` is the head node of arc `a`, indexed directly by ArcId,
-//   so `head(a)` is one load and `tail(a)` is `heads[a ^ 1]` -- the
-//   arc-pair identities `reverse(a) == a ^ 1`, `edge_of(a) == a >> 1`
-//   carry over unchanged.
-//
-// The view is immutable by design: freeze once after topology
-// construction, then share freely across threads (all methods const).
-
-#include <cassert>
-#include <cstddef>
-#include <cstdint>
-#include <span>
-#include <string>
-#include <vector>
+// graph::Graph is itself the frozen CSR arena; the old name stays for
+// the end-to-end benchmark sources, which spell it. Nothing else
+// includes this header.
 
 #include "graph/graph.hpp"
 
 namespace spider::graph {
 
-class CsrGraph {
- public:
-  CsrGraph() = default;
-
-  /// Freezes `g` into the arena layout. O(n + m); `g` is not retained.
-  explicit CsrGraph(const Graph& g);
-
-  [[nodiscard]] std::size_t node_count() const noexcept { return nodes_; }
-  [[nodiscard]] std::size_t edge_count() const noexcept { return edges_; }
-  /// Number of directed arcs (always `2 * edge_count()`).
-  [[nodiscard]] std::size_t arc_count() const noexcept {
-    return static_cast<std::size_t>(edges_) * 2;
-  }
-
-  /// Arcs leaving node `u`, in the source Graph's insertion order.
-  [[nodiscard]] std::span<const ArcId> out_arcs(NodeId u) const {
-    assert(u < nodes_);
-    const std::uint32_t begin = arena_[u];
-    const std::uint32_t end = arena_[u + 1u];
-    return {arena_.data() + arcs_base_ + begin, end - begin};
-  }
-
-  /// Node the arc points towards. One arena load.
-  [[nodiscard]] NodeId head(ArcId a) const {
-    assert(a < arc_count());
-    return arena_[heads_base_ + a];
-  }
-  /// Node the arc points away from (head of the reverse arc).
-  [[nodiscard]] NodeId tail(ArcId a) const { return head(reverse(a)); }
-
-  /// First endpoint of edge `e` (tail of its forward arc).
-  [[nodiscard]] NodeId edge_u(EdgeId e) const { return head(backward_arc(e)); }
-  /// Second endpoint of edge `e` (head of its forward arc).
-  [[nodiscard]] NodeId edge_v(EdgeId e) const { return head(forward_arc(e)); }
-
-  [[nodiscard]] std::size_t degree(NodeId u) const {
-    assert(u < nodes_);
-    return arena_[u + 1u] - arena_[u];
-  }
-
-  /// Returns any edge between `u` and `v`, or kInvalidEdge.
-  [[nodiscard]] EdgeId find_edge(NodeId u, NodeId v) const {
-    for (const ArcId a : out_arcs(u)) {
-      if (head(a) == v) return edge_of(a);
-    }
-    return kInvalidEdge;
-  }
-
-  [[nodiscard]] bool has_edge(NodeId u, NodeId v) const {
-    return find_edge(u, v) != kInvalidEdge;
-  }
-
-  /// Bytes held by the arena (the whole per-graph footprint).
-  [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return arena_.size() * sizeof(std::uint32_t);
-  }
-
-  /// FNV-1a over the arena words: a cheap fingerprint for differential
-  /// tests and the scale bench ("same topology, same layout").
-  [[nodiscard]] std::uint64_t checksum() const noexcept;
-
- private:
-  std::uint32_t nodes_ = 0;
-  std::uint32_t edges_ = 0;
-  std::size_t arcs_base_ = 0;   // arena_ index of the arcs segment
-  std::size_t heads_base_ = 0;  // arena_ index of the heads segment
-  // Bases are indices rather than pointers/spans so moved-from and
-  // move-assigned views stay valid without a fixup pass.
-  std::vector<std::uint32_t> arena_;
-};
-
-/// Human-readable "0 -> 3 -> 7" rendering, CSR flavour.
-[[nodiscard]] std::string to_string(const Path& path, const CsrGraph& g);
+using CsrGraph = Graph;
 
 }  // namespace spider::graph

@@ -8,6 +8,7 @@
 // classic arc-pair representation; `reverse(a) == a ^ 1` and
 // `edge_of(a) == a >> 1` are O(1).
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -39,97 +40,82 @@ inline constexpr ArcId kInvalidArc = static_cast<ArcId>(-1);
   return (e << 1) | 1u;
 }
 
-/// Undirected multigraph with O(1) arc reversal, suitable both for the
-/// payment-channel data plane and for the fluid-model analysis.
+/// Endpoints of one undirected edge, as handed to the Graph constructor.
+struct EdgeEnds {
+  NodeId u;
+  NodeId v;
+};
+
+/// Immutable undirected multigraph with O(1) arc reversal, suitable both
+/// for the payment-channel data plane and for the fluid-model analysis.
 ///
-/// Nodes and edges are dense integer ids assigned in insertion order;
-/// neither can be removed (payment channels close by having zero funds,
-/// not by leaving the topology mid-simulation).
+/// Nodes and edges are dense integer ids: edge `e` is `edges[e]` of the
+/// constructor. Neither can be added or removed afterwards (payment
+/// channels close by having zero funds, not by leaving the topology
+/// mid-simulation), so the whole graph lives in one contiguous uint32
+/// compressed-sparse-row arena:
+///
+///   arena_ = [ offsets: n+1 | arcs: 2m | heads: 2m ]
+///
+/// * `offsets[u] .. offsets[u+1]` delimits node u's slice of the arcs
+///   segment; `out_arcs(u)` is a span into the arena listing u's arcs in
+///   edge-id order, so every traversal visits neighbours in the same
+///   order (the DESIGN.md §7 byte-identity contract).
+/// * `heads[a]` is the head node of arc `a`, so `head(a)` is one load and
+///   `tail(a)` is `heads[a ^ 1]`.
+///
+/// All methods are const: build once, then share freely across threads.
 class Graph {
  public:
   Graph() = default;
 
-  /// Creates a graph with `node_count` isolated nodes.
-  explicit Graph(std::size_t node_count)
-      : adjacency_(node_count), degree_(node_count, 0) {}
+  /// Builds a graph with `n` nodes and one edge per entry of `edges`.
+  /// Throws std::length_error (before allocating) if the arena would not
+  /// fit uint32 ids, std::out_of_range for an endpoint >= `n`, and
+  /// std::invalid_argument for a self-loop (a payment channel with
+  /// oneself is meaningless). Parallel edges are allowed (two nodes may
+  /// maintain several channels, e.g. to rebalance them one at a time,
+  /// see paper §5.2.2).
+  explicit Graph(std::size_t n, const std::vector<EdgeEnds>& edges = {});
 
-  /// Adds an isolated node and returns its id.
-  NodeId add_node() {
-    adjacency_.emplace_back();
-    degree_.push_back(0);
-    return static_cast<NodeId>(adjacency_.size() - 1);
-  }
-
-  /// Pre-sizes the node and edge stores for a bulk build. Large
-  /// generated topologies (100k+ nodes) otherwise pay one reallocation
-  /// cascade per growth step of the outer vectors; the per-node arc
-  /// lists still grow on demand because the final degrees are unknown.
-  void reserve(std::size_t nodes, std::size_t edges) {
-    adjacency_.reserve(nodes);
-    degree_.reserve(nodes);
-    edges_.reserve(edges);
-  }
-
-  /// Adds an undirected edge (channel) between `u` and `v`.
-  /// Self-loops are rejected: a payment channel with oneself is meaningless.
-  /// Parallel edges are allowed (two nodes may maintain several channels,
-  /// e.g. to rebalance them one at a time, see paper §5.2.2).
-  EdgeId add_edge(NodeId u, NodeId v) {
-    check_node(u);
-    check_node(v);
-    if (u == v) throw std::invalid_argument("Graph: self-loop edge");
-    const auto e = static_cast<EdgeId>(edges_.size());
-    edges_.push_back({u, v});
-    adjacency_[u].push_back(forward_arc(e));
-    adjacency_[v].push_back(backward_arc(e));
-    ++degree_[u];
-    ++degree_[v];
-    return e;
-  }
-
-  [[nodiscard]] std::size_t node_count() const noexcept {
-    return adjacency_.size();
-  }
-  [[nodiscard]] std::size_t edge_count() const noexcept {
-    return edges_.size();
-  }
+  [[nodiscard]] std::size_t node_count() const noexcept { return nodes_; }
+  [[nodiscard]] std::size_t edge_count() const noexcept { return edges_; }
   /// Number of directed arcs (always `2 * edge_count()`).
   [[nodiscard]] std::size_t arc_count() const noexcept {
-    return edges_.size() * 2;
+    return static_cast<std::size_t>(edges_) * 2;
   }
+
+  /// Arcs leaving node `u` (one per incident edge), in edge-id order.
+  [[nodiscard]] std::span<const ArcId> out_arcs(NodeId u) const {
+    assert(u < nodes_);
+    const std::uint32_t begin = arena_[u];
+    const std::uint32_t end = arena_[u + 1u];
+    return {arena_.data() + arcs_base_ + begin, end - begin};
+  }
+
+  /// Node the arc points towards. One arena load.
+  [[nodiscard]] NodeId head(ArcId a) const {
+    assert(a < arc_count());
+    return arena_[heads_base_ + a];
+  }
+  /// Node the arc points away from (head of the reverse arc).
+  [[nodiscard]] NodeId tail(ArcId a) const { return head(reverse(a)); }
 
   /// First endpoint of edge `e` (tail of its forward arc).
-  [[nodiscard]] NodeId edge_u(EdgeId e) const { return edges_.at(e).u; }
+  [[nodiscard]] NodeId edge_u(EdgeId e) const { return head(backward_arc(e)); }
   /// Second endpoint of edge `e` (head of its forward arc).
-  [[nodiscard]] NodeId edge_v(EdgeId e) const { return edges_.at(e).v; }
-
-  /// Node the arc points away from.
-  [[nodiscard]] NodeId tail(ArcId a) const {
-    const auto& ed = edges_.at(edge_of(a));
-    return (a & 1u) == 0 ? ed.u : ed.v;
-  }
-  /// Node the arc points towards.
-  [[nodiscard]] NodeId head(ArcId a) const {
-    const auto& ed = edges_.at(edge_of(a));
-    return (a & 1u) == 0 ? ed.v : ed.u;
-  }
-
-  /// Arcs leaving node `u` (one per incident edge).
-  [[nodiscard]] std::span<const ArcId> out_arcs(NodeId u) const {
-    check_node(u);
-    return adjacency_[u];
-  }
+  [[nodiscard]] NodeId edge_v(EdgeId e) const { return head(forward_arc(e)); }
 
   [[nodiscard]] std::size_t degree(NodeId u) const {
     check_node(u);
-    return degree_[u];
+    return arena_[u + 1u] - arena_[u];
   }
 
   /// Returns any edge between `u` and `v`, or kInvalidEdge.
   [[nodiscard]] EdgeId find_edge(NodeId u, NodeId v) const {
     check_node(u);
     check_node(v);
-    for (const ArcId a : adjacency_[u]) {
+    for (const ArcId a : out_arcs(u)) {
       if (head(a) == v) return edge_of(a);
     }
     return kInvalidEdge;
@@ -139,22 +125,31 @@ class Graph {
     return find_edge(u, v) != kInvalidEdge;
   }
 
- private:
-  struct EdgeRec {
-    NodeId u;
-    NodeId v;
-  };
+  /// Bytes held by the arena (the whole per-graph footprint).
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    return arena_.size() * sizeof(std::uint32_t);
+  }
 
+  /// FNV-1a over the node and edge counts and the arena words: a cheap
+  /// fingerprint for differential tests and the scale bench ("same
+  /// topology, same layout").
+  [[nodiscard]] std::uint64_t checksum() const noexcept;
+
+ private:
   void check_node(NodeId n) const {
-    if (n >= adjacency_.size()) {
+    if (n >= nodes_) {
       throw std::out_of_range("Graph: node id " + std::to_string(n) +
                               " out of range");
     }
   }
 
-  std::vector<std::vector<ArcId>> adjacency_;
-  std::vector<std::size_t> degree_;
-  std::vector<EdgeRec> edges_;
+  std::uint32_t nodes_ = 0;
+  std::uint32_t edges_ = 0;
+  std::size_t arcs_base_ = 0;   // arena_ index of the arcs segment
+  std::size_t heads_base_ = 0;  // arena_ index of the heads segment
+  // Bases are indices rather than pointers/spans so copied and moved
+  // graphs stay valid without a fixup pass.
+  std::vector<std::uint32_t> arena_;
 };
 
 /// A simple path (trail) through the graph, stored as consecutive arcs.
@@ -166,16 +161,13 @@ struct Path {
   [[nodiscard]] std::size_t length() const noexcept { return arcs.size(); }
   [[nodiscard]] bool empty() const noexcept { return arcs.empty(); }
 
-  /// Destination node (source if the path is empty). Works with any
-  /// graph view exposing head() (graph::Graph, graph::CsrGraph).
-  template <class G>
-  [[nodiscard]] NodeId destination(const G& g) const {
+  /// Destination node (source if the path is empty).
+  [[nodiscard]] NodeId destination(const Graph& g) const {
     return arcs.empty() ? source : g.head(arcs.back());
   }
 
   /// Node sequence along the path, source first.
-  template <class G>
-  [[nodiscard]] std::vector<NodeId> nodes(const G& g) const {
+  [[nodiscard]] std::vector<NodeId> nodes(const Graph& g) const {
     std::vector<NodeId> ns;
     ns.reserve(arcs.size() + 1);
     ns.push_back(source);
@@ -196,7 +188,8 @@ struct Path {
 /// True if an undirected path exists between every pair of nodes.
 [[nodiscard]] bool is_connected(const Graph& g);
 
-/// Nodes reachable from `start` (including `start` itself).
+/// Nodes reachable from `start` (including `start` itself), in BFS
+/// order. Throws std::out_of_range if `start` is not a node of `g`.
 [[nodiscard]] std::vector<NodeId> reachable_from(const Graph& g, NodeId start);
 
 }  // namespace spider::graph

@@ -1,6 +1,8 @@
 #include "graph/graphio.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -23,8 +25,19 @@ void write_edge_list_csv(std::ostream& os, const Graph& g) {
   }
 }
 
+std::optional<NodeId> parse_node_id(std::string_view field) {
+  // Parse wider than NodeId so 2^32 and up are rejected, not wrapped.
+  std::uint64_t id = 0;
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, id);
+  if (ec != std::errc{} || ptr != end || id >= kInvalidNode) {
+    return std::nullopt;
+  }
+  return static_cast<NodeId>(id);
+}
+
 Graph read_edge_list_csv(std::istream& is) {
-  std::vector<std::pair<NodeId, NodeId>> edges;
+  std::vector<EdgeEnds> edges;
   NodeId max_node = 0;
   std::string line;
   std::size_t line_no = 0;
@@ -38,23 +51,17 @@ Graph read_edge_list_csv(std::istream& is) {
       throw std::runtime_error("read_edge_list_csv: malformed line " +
                                std::to_string(line_no) + ": '" + line + "'");
     }
-    NodeId u = 0, v = 0;
-    try {
-      u = static_cast<NodeId>(std::stoul(a));
-      v = static_cast<NodeId>(std::stoul(b));
-    } catch (const std::exception&) {
-      throw std::runtime_error("read_edge_list_csv: non-numeric ids on line " +
-                               std::to_string(line_no));
+    const std::optional<NodeId> u = parse_node_id(a);
+    const std::optional<NodeId> v = parse_node_id(b);
+    if (!u || !v) {
+      throw std::runtime_error("read_edge_list_csv: bad node id on line " +
+                               std::to_string(line_no) + ": '" + line + "'");
     }
-    edges.emplace_back(u, v);
-    max_node = std::max({max_node, u, v});
+    edges.push_back({*u, *v});
+    max_node = std::max({max_node, *u, *v});
   }
-  const std::size_t nodes =
-      edges.empty() ? 0 : static_cast<std::size_t>(max_node) + 1;
-  Graph g(nodes);
-  g.reserve(nodes, edges.size());
-  for (const auto& [u, v] : edges) g.add_edge(u, v);
-  return g;
+  return Graph(edges.empty() ? 0 : static_cast<std::size_t>(max_node) + 1,
+               edges);
 }
 
 void save_edge_list_csv(const std::string& path, const Graph& g) {

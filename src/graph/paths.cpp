@@ -22,8 +22,7 @@ bool edge_blocked(std::span<const char> blocked, EdgeId e) {
 
 }  // namespace
 
-template <class G>
-void PathFinder::begin_query(const G& g) {
+void PathFinder::begin_query(const Graph& g) {
   const std::size_t n = g.node_count();
   if (mark_.size() < n) {
     mark_.resize(n, 0);
@@ -43,15 +42,13 @@ void PathFinder::begin_query(const G& g) {
   wheap_.clear();
 }
 
-template <class G>
-void PathFinder::grow_blocked(const G& g) {
+void PathFinder::grow_blocked(const Graph& g) {
   // At rest the mask is all-zero (unblock_all undoes every write), so
   // growing only needs to zero-fill the new tail.
   if (blocked_.size() < g.edge_count()) blocked_.resize(g.edge_count(), 0);
 }
 
-template <class G>
-Path PathFinder::build_path(const G& g, NodeId s, NodeId t) const {
+Path PathFinder::build_path(const Graph& g, NodeId s, NodeId t) const {
   Path p;
   p.source = s;
   NodeId at = t;
@@ -64,8 +61,7 @@ Path PathFinder::build_path(const G& g, NodeId s, NodeId t) const {
   return p;
 }
 
-template <class G>
-void PathFinder::bfs_seed(const G& g, BfsSide& side, NodeId root) {
+void PathFinder::bfs_seed(const Graph& g, BfsSide& side, NodeId root) {
   if (side.reach.size() < g.node_count()) side.reach.resize(g.node_count());
   side.reach[root] = {stamp_, 0};
   side.nodes.clear();
@@ -75,8 +71,8 @@ void PathFinder::bfs_seed(const G& g, BfsSide& side, NodeId root) {
   side.depth = 0;
 }
 
-template <class G>
-bool PathFinder::bfs_expand(const G& g, BfsSide& side, const BfsSide& other,
+bool PathFinder::bfs_expand(const Graph& g, BfsSide& side,
+                            const BfsSide& other,
                             std::span<const char> blocked_edges) {
   const std::size_t end = side.nodes.size();
   const std::uint32_t next = side.depth + 1;
@@ -103,9 +99,8 @@ bool PathFinder::bfs_expand(const G& g, BfsSide& side, const BfsSide& other,
   return met;
 }
 
-template <class G>
 std::optional<Path> PathFinder::bfs_shortest(
-    const G& g, NodeId s, NodeId t, std::span<const char> blocked_edges) {
+    const Graph& g, NodeId s, NodeId t, std::span<const char> blocked_edges) {
   if (s >= g.node_count() || t >= g.node_count()) return std::nullopt;
   if (s == t) return Path{s, {}};
   begin_query(g);
@@ -170,8 +165,7 @@ std::optional<Path> PathFinder::bfs_shortest(
   return p;
 }
 
-template <class G>
-std::optional<Path> PathFinder::dijkstra(const G& g, NodeId s, NodeId t,
+std::optional<Path> PathFinder::dijkstra(const Graph& g, NodeId s, NodeId t,
                                          const ArcWeightFn& weight,
                                          std::span<const char> blocked_edges) {
   if (s >= g.node_count() || t >= g.node_count()) return std::nullopt;
@@ -208,8 +202,7 @@ std::optional<Path> PathFinder::dijkstra(const G& g, NodeId s, NodeId t,
   return build_path(g, s, t);
 }
 
-template <class G>
-std::vector<Path> PathFinder::yen(const G& g, NodeId s, NodeId t,
+std::vector<Path> PathFinder::yen(const Graph& g, NodeId s, NodeId t,
                                   std::size_t k, const ArcWeightFn& weight) {
   std::vector<Path> result;
   if (k == 0) return result;
@@ -280,8 +273,7 @@ std::vector<Path> PathFinder::yen(const G& g, NodeId s, NodeId t,
   return result;
 }
 
-template <class G>
-std::vector<Path> PathFinder::edge_disjoint(const G& g, NodeId s, NodeId t,
+std::vector<Path> PathFinder::edge_disjoint(const Graph& g, NodeId s, NodeId t,
                                             std::size_t k) {
   std::vector<Path> result;
   grow_blocked(g);
@@ -295,8 +287,7 @@ std::vector<Path> PathFinder::edge_disjoint(const G& g, NodeId s, NodeId t,
   return result;
 }
 
-template <class G>
-std::optional<Path> PathFinder::widest(const G& g, NodeId s, NodeId t,
+std::optional<Path> PathFinder::widest(const Graph& g, NodeId s, NodeId t,
                                        const ArcWeightFn& capacity,
                                        std::span<const char> blocked_edges) {
   if (s >= g.node_count() || t >= g.node_count()) return std::nullopt;
@@ -342,9 +333,8 @@ std::optional<Path> PathFinder::widest(const G& g, NodeId s, NodeId t,
   return build_path(g, s, t);
 }
 
-template <class G>
 std::vector<Path> PathFinder::edge_disjoint_widest(
-    const G& g, NodeId s, NodeId t, std::size_t k,
+    const Graph& g, NodeId s, NodeId t, std::size_t k,
     const ArcWeightFn& capacity) {
   std::vector<Path> result;
   grow_blocked(g);
@@ -358,38 +348,6 @@ std::vector<Path> PathFinder::edge_disjoint_widest(
   return result;
 }
 
-// The two graph views the library instantiates the finder for.
-template std::optional<Path> PathFinder::bfs_shortest<Graph>(
-    const Graph&, NodeId, NodeId, std::span<const char>);
-template std::optional<Path> PathFinder::bfs_shortest<CsrGraph>(
-    const CsrGraph&, NodeId, NodeId, std::span<const char>);
-template std::optional<Path> PathFinder::dijkstra<Graph>(
-    const Graph&, NodeId, NodeId, const ArcWeightFn&, std::span<const char>);
-template std::optional<Path> PathFinder::dijkstra<CsrGraph>(
-    const CsrGraph&, NodeId, NodeId, const ArcWeightFn&,
-    std::span<const char>);
-template std::vector<Path> PathFinder::yen<Graph>(const Graph&, NodeId,
-                                                  NodeId, std::size_t,
-                                                  const ArcWeightFn&);
-template std::vector<Path> PathFinder::yen<CsrGraph>(const CsrGraph&, NodeId,
-                                                     NodeId, std::size_t,
-                                                     const ArcWeightFn&);
-template std::vector<Path> PathFinder::edge_disjoint<Graph>(const Graph&,
-                                                            NodeId, NodeId,
-                                                            std::size_t);
-template std::vector<Path> PathFinder::edge_disjoint<CsrGraph>(const CsrGraph&,
-                                                               NodeId, NodeId,
-                                                               std::size_t);
-template std::optional<Path> PathFinder::widest<Graph>(
-    const Graph&, NodeId, NodeId, const ArcWeightFn&, std::span<const char>);
-template std::optional<Path> PathFinder::widest<CsrGraph>(
-    const CsrGraph&, NodeId, NodeId, const ArcWeightFn&,
-    std::span<const char>);
-template std::vector<Path> PathFinder::edge_disjoint_widest<Graph>(
-    const Graph&, NodeId, NodeId, std::size_t, const ArcWeightFn&);
-template std::vector<Path> PathFinder::edge_disjoint_widest<CsrGraph>(
-    const CsrGraph&, NodeId, NodeId, std::size_t, const ArcWeightFn&);
-
 // ---- free-function wrappers (one scratch setup per call) -------------
 
 std::optional<Path> bfs_shortest_path(const Graph& g, NodeId s, NodeId t,
@@ -398,21 +356,8 @@ std::optional<Path> bfs_shortest_path(const Graph& g, NodeId s, NodeId t,
   return f.bfs_shortest(g, s, t, blocked_edges);
 }
 
-std::optional<Path> bfs_shortest_path(const CsrGraph& g, NodeId s, NodeId t,
-                                      std::span<const char> blocked_edges) {
-  PathFinder f;
-  return f.bfs_shortest(g, s, t, blocked_edges);
-}
-
 std::optional<Path> dijkstra_shortest_path(const Graph& g, NodeId s, NodeId t,
                                            const ArcWeightFn& weight,
-                                           std::span<const char> blocked_edges) {
-  PathFinder f;
-  return f.dijkstra(g, s, t, weight, blocked_edges);
-}
-
-std::optional<Path> dijkstra_shortest_path(const CsrGraph& g, NodeId s,
-                                           NodeId t, const ArcWeightFn& weight,
                                            std::span<const char> blocked_edges) {
   PathFinder f;
   return f.dijkstra(g, s, t, weight, blocked_edges);
@@ -431,20 +376,7 @@ std::vector<Path> yen_k_shortest_paths(const Graph& g, NodeId s, NodeId t,
   return f.yen(g, s, t, k, weight);
 }
 
-std::vector<Path> yen_k_shortest_paths(const CsrGraph& g, NodeId s, NodeId t,
-                                       std::size_t k,
-                                       const ArcWeightFn& weight) {
-  PathFinder f;
-  return f.yen(g, s, t, k, weight);
-}
-
 std::vector<Path> edge_disjoint_shortest_paths(const Graph& g, NodeId s,
-                                               NodeId t, std::size_t k) {
-  PathFinder f;
-  return f.edge_disjoint(g, s, t, k);
-}
-
-std::vector<Path> edge_disjoint_shortest_paths(const CsrGraph& g, NodeId s,
                                                NodeId t, std::size_t k) {
   PathFinder f;
   return f.edge_disjoint(g, s, t, k);
@@ -457,21 +389,7 @@ std::optional<Path> widest_path(const Graph& g, NodeId s, NodeId t,
   return f.widest(g, s, t, capacity, blocked_edges);
 }
 
-std::optional<Path> widest_path(const CsrGraph& g, NodeId s, NodeId t,
-                                const ArcWeightFn& capacity,
-                                std::span<const char> blocked_edges) {
-  PathFinder f;
-  return f.widest(g, s, t, capacity, blocked_edges);
-}
-
 std::vector<Path> edge_disjoint_widest_paths(const Graph& g, NodeId s,
-                                             NodeId t, std::size_t k,
-                                             const ArcWeightFn& capacity) {
-  PathFinder f;
-  return f.edge_disjoint_widest(g, s, t, k, capacity);
-}
-
-std::vector<Path> edge_disjoint_widest_paths(const CsrGraph& g, NodeId s,
                                              NodeId t, std::size_t k,
                                              const ArcWeightFn& capacity) {
   PathFinder f;
@@ -486,6 +404,10 @@ double path_bottleneck(const Path& p, const ArcWeightFn& capacity) {
 
 std::vector<EdgeId> bfs_spanning_tree(const Graph& g, NodeId root) {
   if (g.node_count() == 0) return {};
+  if (root >= g.node_count()) {
+    throw std::out_of_range("bfs_spanning_tree: root " + std::to_string(root) +
+                            " out of range");
+  }
   if (!is_connected(g)) {
     throw std::invalid_argument("bfs_spanning_tree: graph is not connected");
   }

@@ -5,15 +5,13 @@
 // shortest paths for every source-destination pair", §6.1), and
 // k widest (max-bottleneck) paths for waterfilling-style selection.
 //
-// Every algorithm is generic over the graph view: the mutable
-// adjacency-list graph::Graph and the frozen graph::CsrGraph produce
-// byte-identical paths (same neighbour order, same priority-queue pop
-// sequence -- pinned by the differential tests). Hot consumers hold a
+// Every algorithm walks graph::Graph's CSR arena. Hot consumers hold a
 // PathFinder, whose per-query scratch (stamped distance/visit arrays,
 // BFS ring buffer, heap storage, blocked-edge mask with an undo list)
 // is reused across queries instead of being reallocated per call; the
 // free functions below are convenience wrappers that pay one scratch
-// setup per call.
+// setup per call and return exactly what a reused PathFinder returns
+// (pinned by the differential tests).
 //
 // Hop-count tie-break contract (bfs_shortest, and through it
 // edge_disjoint, tree_path and every caller): among all shortest s->t
@@ -35,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 
 namespace spider::graph {
@@ -44,7 +41,7 @@ namespace spider::graph {
 using ArcWeightFn = std::function<double(ArcId)>;
 
 /// Reusable path-query scratch. Not bound to a graph: every method
-/// takes the graph view per call (so a moved PathFinder, or one shared
+/// takes the graph per call (so a moved PathFinder, or one shared
 /// across graphs of different sizes, stays valid -- buffers grow on
 /// demand). Not thread-safe; use one PathFinder per worker thread.
 class PathFinder {
@@ -53,50 +50,43 @@ class PathFinder {
   /// `blocked_edges[e] != 0` removes edge `e` (both directions); the
   /// span may be empty or shorter than `edge_count()`, and edges past
   /// its end are unblocked. Ties follow the contract in the file header.
-  template <class G>
   [[nodiscard]] std::optional<Path> bfs_shortest(
-      const G& g, NodeId s, NodeId t, std::span<const char> blocked_edges = {});
+      const Graph& g, NodeId s, NodeId t,
+      std::span<const char> blocked_edges = {});
 
   /// Shortest path under non-negative per-arc weights.
-  template <class G>
   [[nodiscard]] std::optional<Path> dijkstra(
-      const G& g, NodeId s, NodeId t, const ArcWeightFn& weight,
+      const Graph& g, NodeId s, NodeId t, const ArcWeightFn& weight,
       std::span<const char> blocked_edges = {});
 
   /// Yen's algorithm: up to `k` loopless shortest paths in non-decreasing
   /// weight order. With `weight == nullptr`, hop count is used.
-  template <class G>
-  [[nodiscard]] std::vector<Path> yen(const G& g, NodeId s, NodeId t,
+  [[nodiscard]] std::vector<Path> yen(const Graph& g, NodeId s, NodeId t,
                                       std::size_t k,
                                       const ArcWeightFn& weight = nullptr);
 
   /// Up to `k` mutually edge-disjoint paths, chosen greedily
   /// shortest-first (each path's edges are removed before searching for
   /// the next). The paper's path-set construction (§6.1).
-  template <class G>
-  [[nodiscard]] std::vector<Path> edge_disjoint(const G& g, NodeId s, NodeId t,
-                                                std::size_t k);
+  [[nodiscard]] std::vector<Path> edge_disjoint(const Graph& g, NodeId s,
+                                                NodeId t, std::size_t k);
 
   /// Single widest (maximum-bottleneck) path under per-arc capacities,
   /// ties broken by fewer hops; nullopt if unreachable.
-  template <class G>
   [[nodiscard]] std::optional<Path> widest(
-      const G& g, NodeId s, NodeId t, const ArcWeightFn& capacity,
+      const Graph& g, NodeId s, NodeId t, const ArcWeightFn& capacity,
       std::span<const char> blocked_edges = {});
 
   /// Up to `k` edge-disjoint widest paths (greedy widest-first removal).
-  template <class G>
   [[nodiscard]] std::vector<Path> edge_disjoint_widest(
-      const G& g, NodeId s, NodeId t, std::size_t k,
+      const Graph& g, NodeId s, NodeId t, std::size_t k,
       const ArcWeightFn& capacity);
 
  private:
   /// Sizes node scratch for `g` and opens a fresh stamped query.
-  template <class G>
-  void begin_query(const G& g);
+  void begin_query(const Graph& g);
   /// Ensures `blocked_` covers `g`'s edges and is all-zero.
-  template <class G>
-  void grow_blocked(const G& g);
+  void grow_blocked(const Graph& g);
   /// Blocks `e`, remembering it on the undo list.
   void block_edge(EdgeId e) {
     blocked_[e] = 1;
@@ -108,8 +98,7 @@ class PathFinder {
     touched_.clear();
   }
 
-  template <class G>
-  Path build_path(const G& g, NodeId s, NodeId t) const;
+  Path build_path(const Graph& g, NodeId s, NodeId t) const;
 
   /// One side of the bidirectional BFS in bfs_shortest.
   struct BfsSide {
@@ -123,12 +112,10 @@ class PathFinder {
     std::size_t frontier_degree = 0;  // out-degree sum of the last layer
     std::uint32_t depth = 0;          // distance of the last layer
   };
-  template <class G>
-  void bfs_seed(const G& g, BfsSide& side, NodeId root);
+  void bfs_seed(const Graph& g, BfsSide& side, NodeId root);
   /// Grows `side` by one full layer; true if the new layer touches
   /// `other`. Meeting nodes are marked in mark_ and queued on queue_.
-  template <class G>
-  bool bfs_expand(const G& g, BfsSide& side, const BfsSide& other,
+  bool bfs_expand(const Graph& g, BfsSide& side, const BfsSide& other,
                   std::span<const char> blocked_edges);
 
   // Stamped node scratch: entry v is live in the current query iff
@@ -183,16 +170,10 @@ class PathFinder {
 [[nodiscard]] std::optional<Path> bfs_shortest_path(
     const Graph& g, NodeId s, NodeId t,
     std::span<const char> blocked_edges = {});
-[[nodiscard]] std::optional<Path> bfs_shortest_path(
-    const CsrGraph& g, NodeId s, NodeId t,
-    std::span<const char> blocked_edges = {});
 
 /// Shortest path under non-negative per-arc weights.
 [[nodiscard]] std::optional<Path> dijkstra_shortest_path(
     const Graph& g, NodeId s, NodeId t, const ArcWeightFn& weight,
-    std::span<const char> blocked_edges = {});
-[[nodiscard]] std::optional<Path> dijkstra_shortest_path(
-    const CsrGraph& g, NodeId s, NodeId t, const ArcWeightFn& weight,
     std::span<const char> blocked_edges = {});
 
 /// Total weight of a path under `weight`.
@@ -203,33 +184,22 @@ class PathFinder {
 [[nodiscard]] std::vector<Path> yen_k_shortest_paths(
     const Graph& g, NodeId s, NodeId t, std::size_t k,
     const ArcWeightFn& weight = nullptr);
-[[nodiscard]] std::vector<Path> yen_k_shortest_paths(
-    const CsrGraph& g, NodeId s, NodeId t, std::size_t k,
-    const ArcWeightFn& weight = nullptr);
 
 /// Up to `k` mutually edge-disjoint paths, chosen greedily shortest-first
 /// (each path's edges are removed before searching for the next). This is
 /// the path-set construction the paper's evaluation uses (§6.1).
 [[nodiscard]] std::vector<Path> edge_disjoint_shortest_paths(
     const Graph& g, NodeId s, NodeId t, std::size_t k);
-[[nodiscard]] std::vector<Path> edge_disjoint_shortest_paths(
-    const CsrGraph& g, NodeId s, NodeId t, std::size_t k);
 
 /// Single widest (maximum-bottleneck) path under per-arc capacities,
 /// ties broken by fewer hops; nullopt if unreachable.
 [[nodiscard]] std::optional<Path> widest_path(
     const Graph& g, NodeId s, NodeId t, const ArcWeightFn& capacity,
     std::span<const char> blocked_edges = {});
-[[nodiscard]] std::optional<Path> widest_path(
-    const CsrGraph& g, NodeId s, NodeId t, const ArcWeightFn& capacity,
-    std::span<const char> blocked_edges = {});
 
 /// Up to `k` edge-disjoint widest paths (greedy widest-first removal).
 [[nodiscard]] std::vector<Path> edge_disjoint_widest_paths(
     const Graph& g, NodeId s, NodeId t, std::size_t k,
-    const ArcWeightFn& capacity);
-[[nodiscard]] std::vector<Path> edge_disjoint_widest_paths(
-    const CsrGraph& g, NodeId s, NodeId t, std::size_t k,
     const ArcWeightFn& capacity);
 
 /// Bottleneck (minimum per-arc value) along `p`; +inf for the empty path.

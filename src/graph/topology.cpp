@@ -1,7 +1,9 @@
 #include "graph/topology.hpp"
 
 #include <random>
+#include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace spider::graph::topology {
 
@@ -15,70 +17,69 @@ void require(bool cond, const char* msg) {
 
 Graph make_line(std::size_t n) {
   require(n >= 1, "make_line: need n >= 1");
-  Graph g(n);
-  g.reserve(n, n - 1);
+  std::vector<EdgeEnds> edges;
+  edges.reserve(n - 1);
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(i + 1));
+    edges.push_back({static_cast<NodeId>(i), static_cast<NodeId>(i + 1)});
   }
-  return g;
+  return Graph(n, edges);
 }
 
 Graph make_ring(std::size_t n) {
   require(n >= 3, "make_ring: need n >= 3");
-  Graph g(n);
-  g.reserve(n, n);
+  std::vector<EdgeEnds> edges;
+  edges.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>((i + 1) % n));
+    edges.push_back(
+        {static_cast<NodeId>(i), static_cast<NodeId>((i + 1) % n)});
   }
-  return g;
+  return Graph(n, edges);
 }
 
 Graph make_star(std::size_t n) {
   require(n >= 2, "make_star: need n >= 2");
-  Graph g(n);
-  g.reserve(n, n - 1);
+  std::vector<EdgeEnds> edges;
+  edges.reserve(n - 1);
   for (std::size_t i = 1; i < n; ++i) {
-    g.add_edge(0, static_cast<NodeId>(i));
+    edges.push_back({0, static_cast<NodeId>(i)});
   }
-  return g;
+  return Graph(n, edges);
 }
 
 Graph make_grid(std::size_t rows, std::size_t cols) {
   require(rows >= 1 && cols >= 1, "make_grid: need rows, cols >= 1");
-  Graph g(rows * cols);
-  g.reserve(rows * cols, rows * (cols - 1) + (rows - 1) * cols);
+  std::vector<EdgeEnds> edges;
+  edges.reserve(rows * (cols - 1) + (rows - 1) * cols);
   auto id = [cols](std::size_t r, std::size_t c) {
     return static_cast<NodeId>(r * cols + c);
   };
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
-      if (c + 1 < cols) g.add_edge(id(r, c), id(r, c + 1));
-      if (r + 1 < rows) g.add_edge(id(r, c), id(r + 1, c));
+      if (c + 1 < cols) edges.push_back({id(r, c), id(r, c + 1)});
+      if (r + 1 < rows) edges.push_back({id(r, c), id(r + 1, c)});
     }
   }
-  return g;
+  return Graph(rows * cols, edges);
 }
 
 Graph make_complete(std::size_t n) {
   require(n >= 1, "make_complete: need n >= 1");
-  Graph g(n);
-  g.reserve(n, n * (n - 1) / 2);
+  std::vector<EdgeEnds> edges;
+  edges.reserve(n * (n - 1) / 2);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(j));
+      edges.push_back({static_cast<NodeId>(i), static_cast<NodeId>(j)});
     }
   }
-  return g;
+  return Graph(n, edges);
 }
 
 Graph make_fig4_example() {
-  Graph g(5);
-  g.add_edge(0, 1);  // paper nodes 1-2
-  g.add_edge(1, 2);  // 2-3
-  g.add_edge(2, 3);  // 3-4
-  g.add_edge(1, 3);  // 2-4
-  g.add_edge(2, 4);  // 3-5
-  return g;
+  return Graph(5, {{0, 1},    // paper nodes 1-2
+                   {1, 2},    // 2-3
+                   {2, 3},    // 3-4
+                   {1, 3},    // 2-4
+                   {2, 4}});  // 3-5
 }
 
 Graph make_erdos_renyi(std::size_t n, double p, std::uint64_t seed) {
@@ -87,16 +88,17 @@ Graph make_erdos_renyi(std::size_t n, double p, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::bernoulli_distribution coin(p);
   for (int attempt = 0; attempt < 1000; ++attempt) {
-    Graph g(n);
-    g.reserve(n, static_cast<std::size_t>(p * static_cast<double>(n) *
-                                          static_cast<double>(n - 1) / 2));
+    std::vector<EdgeEnds> edges;
+    edges.reserve(static_cast<std::size_t>(p * static_cast<double>(n) *
+                                           static_cast<double>(n - 1) / 2));
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
         if (coin(rng)) {
-          g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(j));
+          edges.push_back({static_cast<NodeId>(i), static_cast<NodeId>(j)});
         }
       }
     }
+    Graph g(n, edges);
     if (is_connected(g)) return g;
   }
   throw std::runtime_error(
@@ -107,16 +109,16 @@ Graph make_scale_free(std::size_t n, std::size_t m, std::uint64_t seed) {
   require(m >= 1, "make_scale_free: need m >= 1");
   require(n > m, "make_scale_free: need n > m");
   std::mt19937_64 rng(seed);
-  Graph g(n);
   // m*(m+1)/2 clique edges plus m preferential edges per later node.
   const std::size_t expected_edges = m * (m + 1) / 2 + (n - m - 1) * m;
-  g.reserve(n, expected_edges);
+  std::vector<EdgeEnds> edges;
+  edges.reserve(expected_edges);
   // Seed clique over the first m+1 nodes.
   std::vector<NodeId> endpoint_pool;  // each node appears once per degree
   endpoint_pool.reserve(2 * expected_edges);
   for (std::size_t i = 0; i <= m; ++i) {
     for (std::size_t j = i + 1; j <= m; ++j) {
-      g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(j));
+      edges.push_back({static_cast<NodeId>(i), static_cast<NodeId>(j)});
       endpoint_pool.push_back(static_cast<NodeId>(i));
       endpoint_pool.push_back(static_cast<NodeId>(j));
     }
@@ -133,12 +135,12 @@ Graph make_scale_free(std::size_t n, std::size_t m, std::uint64_t seed) {
       if (!dup) targets.push_back(candidate);
     }
     for (const NodeId t : targets) {
-      g.add_edge(static_cast<NodeId>(v), t);
+      edges.push_back({static_cast<NodeId>(v), t});
       endpoint_pool.push_back(static_cast<NodeId>(v));
       endpoint_pool.push_back(t);
     }
   }
-  return g;
+  return Graph(n, edges);
 }
 
 Graph make_small_world(std::size_t n, std::size_t k, double beta,
@@ -149,8 +151,10 @@ Graph make_small_world(std::size_t n, std::size_t k, double beta,
   std::mt19937_64 rng(seed);
   std::bernoulli_distribution rewire(beta);
   std::uniform_int_distribution<std::size_t> any_node(0, n - 1);
-  Graph g(n);
-  g.reserve(n, n * k);
+  std::vector<EdgeEnds> edges;
+  edges.reserve(n * k);
+  // Both orientations of every edge so far: the duplicate check.
+  std::set<std::pair<NodeId, NodeId>> present;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t off = 1; off <= k; ++off) {
       NodeId u = static_cast<NodeId>(i);
@@ -159,16 +163,20 @@ Graph make_small_world(std::size_t n, std::size_t k, double beta,
         // Rewire the far endpoint to a uniform random non-duplicate node.
         for (int tries = 0; tries < 100; ++tries) {
           const auto w = static_cast<NodeId>(any_node(rng));
-          if (w != u && !g.has_edge(u, w)) {
+          if (w != u && !present.contains({u, w})) {
             v = w;
             break;
           }
         }
       }
-      if (!g.has_edge(u, v) && u != v) g.add_edge(u, v);
+      if (!present.contains({u, v}) && u != v) {
+        edges.push_back({u, v});
+        present.insert({u, v});
+        present.insert({v, u});
+      }
     }
   }
-  return g;
+  return Graph(n, edges);
 }
 
 Graph make_isp32() {
@@ -177,11 +185,11 @@ Graph make_isp32() {
   // + 4 chord-6 = 152 edges over 32 nodes, matching §6.1.
   constexpr std::size_t kCores = 8;
   constexpr std::size_t kEdges = 24;
-  Graph g(kCores + kEdges);
-  g.reserve(kCores + kEdges, 152);
+  std::vector<EdgeEnds> edges;
+  edges.reserve(152);
   for (std::size_t i = 0; i < kCores; ++i) {
     for (std::size_t j = i + 1; j < kCores; ++j) {
-      g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>(j));
+      edges.push_back({static_cast<NodeId>(i), static_cast<NodeId>(j)});
     }
   }
   auto edge_router = [](std::size_t j) {
@@ -190,19 +198,20 @@ Graph make_isp32() {
   for (std::size_t j = 0; j < kEdges; ++j) {
     for (const std::size_t off : {std::size_t{0}, std::size_t{1},
                                   std::size_t{3}}) {
-      g.add_edge(edge_router(j), static_cast<NodeId>((j + off) % kCores));
+      edges.push_back(
+          {edge_router(j), static_cast<NodeId>((j + off) % kCores)});
     }
   }
   for (std::size_t j = 0; j < kEdges; ++j) {
-    g.add_edge(edge_router(j), edge_router((j + 1) % kEdges));  // ring
+    edges.push_back({edge_router(j), edge_router((j + 1) % kEdges)});  // ring
   }
   for (std::size_t j = 0; j < kEdges; ++j) {
-    g.add_edge(edge_router(j), edge_router((j + 3) % kEdges));  // chords
+    edges.push_back({edge_router(j), edge_router((j + 3) % kEdges)});  // chords
   }
   for (std::size_t j = 0; j < 4; ++j) {
-    g.add_edge(edge_router(j), edge_router(j + 6));
+    edges.push_back({edge_router(j), edge_router(j + 6)});
   }
-  return g;
+  return Graph(kCores + kEdges, edges);
 }
 
 Graph make_ripple_like(std::size_t n, std::uint64_t seed) {
@@ -212,20 +221,25 @@ Graph make_ripple_like(std::size_t n, std::uint64_t seed) {
 
 Graph make_lightning_like(std::size_t n, std::uint64_t seed) {
   require(n >= 8, "make_lightning_like: need n >= 8");
-  Graph g = make_scale_free(n, 2, seed);
-  g.reserve(n, g.edge_count() + n / 16);
+  const Graph g = make_scale_free(n, 2, seed);
+  std::vector<EdgeEnds> edges;
+  edges.reserve(g.edge_count() + n / 16);
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    edges.push_back({g.edge_u(e), g.edge_v(e)});
+  }
   // Strengthen the hub structure: every 16th node opens a channel to one
   // of the five oldest (highest-degree) nodes, as merchants do towards
-  // well-connected Lightning hubs.
+  // well-connected Lightning hubs. Each v opens at most one, so only
+  // the scale-free edges can duplicate it.
   std::mt19937_64 rng(seed ^ 0x9e3779b97f4a7c15ull);
   std::uniform_int_distribution<NodeId> hub(0, 4);
   for (std::size_t v = 16; v < n; v += 16) {
     const NodeId h = hub(rng);
     if (!g.has_edge(static_cast<NodeId>(v), h)) {
-      g.add_edge(static_cast<NodeId>(v), h);
+      edges.push_back({static_cast<NodeId>(v), h});
     }
   }
-  return g;
+  return Graph(n, edges);
 }
 
 }  // namespace spider::graph::topology

@@ -16,15 +16,15 @@ const std::vector<graph::Path>& PathCache::paths(graph::NodeId src,
   std::vector<graph::Path> result;
   switch (mode_) {
     case PathMode::kShortest: {
-      auto p = finder_.bfs_shortest(csr_, src, dst);
+      auto p = finder_.bfs_shortest(*graph_, src, dst);
       if (p) result.push_back(std::move(*p));
       break;
     }
     case PathMode::kEdgeDisjoint:
-      result = finder_.edge_disjoint(csr_, src, dst, k_);
+      result = finder_.edge_disjoint(*graph_, src, dst, k_);
       break;
     case PathMode::kKShortest:
-      result = finder_.yen(csr_, src, dst, k_);
+      result = finder_.yen(*graph_, src, dst, k_);
       break;
   }
   return cache_.emplace(key, std::move(result)).first->second;

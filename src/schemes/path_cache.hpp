@@ -3,17 +3,16 @@
 // The paper's evaluation restricts Spider to 4 edge-disjoint shortest
 // paths per pair (§6.1); baselines use the single shortest path.
 //
-// The cache freezes the bound graph into a CsrGraph at construction and
-// answers misses through a reusable PathFinder, so a cold sweep over a
-// 3774-node Ripple topology no longer pays per-query scratch
-// allocation. A precomputed graph::PathTable (exp/path_precompute) can
-// pre-seed the cache via warm().
+// The cache answers misses through a reusable PathFinder over the bound
+// graph, so a cold sweep over a 3774-node Ripple topology does not pay
+// per-query scratch allocation. The graph must outlive the cache. A
+// precomputed graph::PathTable (exp/path_precompute) can pre-seed the
+// cache via warm().
 
 #include <map>
 #include <utility>
 #include <vector>
 
-#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 #include "graph/path_table.hpp"
 #include "graph/paths.hpp"
@@ -30,7 +29,7 @@ class PathCache {
  public:
   PathCache() = default;
   PathCache(const graph::Graph* g, PathMode mode, std::size_t k)
-      : graph_(g), csr_(*g), mode_(mode), k_(k) {}
+      : graph_(g), mode_(mode), k_(k) {}
 
   /// Paths for (src, dst), computed on first use and cached.
   const std::vector<graph::Path>& paths(graph::NodeId src, graph::NodeId dst);
@@ -46,7 +45,6 @@ class PathCache {
 
  private:
   const graph::Graph* graph_ = nullptr;
-  graph::CsrGraph csr_;        // frozen view of *graph_
   graph::PathFinder finder_;   // reusable per-query scratch
   PathMode mode_ = PathMode::kShortest;
   std::size_t k_ = 1;

@@ -20,7 +20,7 @@ namespace {
 /// Concatenates a->b and b->c shortest paths and removes any loops so the
 /// result is a valid trail (distinct nodes).
 std::optional<graph::Path> splice_through(graph::PathFinder& finder,
-                                          const graph::CsrGraph& g,
+                                          const graph::Graph& g,
                                           graph::NodeId src,
                                           graph::NodeId via,
                                           graph::NodeId dst) {
@@ -58,7 +58,7 @@ std::optional<graph::Path> splice_through(graph::PathFinder& finder,
 void SilentWhispersScheme::prepare(const graph::Graph& g,
                                    const std::vector<core::Amount>&,
                                    const fluid::PaymentGraph&, double) {
-  csr_ = graph::CsrGraph(g);
+  graph_ = &g;
   cache_.clear();
   // Landmarks: the highest-degree nodes (ties by id), as landmark systems
   // pick well-connected routers.
@@ -84,7 +84,7 @@ std::vector<RouteChoice> SilentWhispersScheme::route(
   if (it == cache_.end()) {
     std::vector<graph::Path> paths;
     for (const graph::NodeId lm : landmarks_) {
-      auto p = splice_through(finder_, csr_, req.src, lm, req.dst);
+      auto p = splice_through(finder_, *graph_, req.src, lm, req.dst);
       if (!p) continue;
       // Skip duplicates (e.g. two landmarks on the same spine).
       const bool dup = std::any_of(
@@ -99,8 +99,8 @@ std::vector<RouteChoice> SilentWhispersScheme::route(
 
   // Capacity-aware atomic split: assign greedily per landmark path
   // against a local copy of availabilities (paths can share channels).
-  std::vector<core::Amount> avail(csr_.arc_count());
-  for (graph::ArcId a = 0; a < csr_.arc_count(); ++a) {
+  std::vector<core::Amount> avail(graph_->arc_count());
+  for (graph::ArcId a = 0; a < graph_->arc_count(); ++a) {
     avail[a] = net.available(a);
   }
   std::vector<RouteChoice> choices;

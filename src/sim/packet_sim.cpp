@@ -15,7 +15,6 @@ PacketSimulator::PacketSimulator(const graph::Graph& g,
                                  std::vector<core::Amount> edge_capacity,
                                  PacketSimConfig config)
     : graph_(g),
-      csr_(g),
       capacity_(std::move(edge_capacity)),
       net_(g, capacity_),
       cfg_(config),
@@ -139,7 +138,7 @@ void PacketSimulator::init_pair_paths(PairState& ps, core::NodeId src,
     ps.paths.assign(pre.begin(), pre.end());
     return;
   }
-  ps.paths = finder_.edge_disjoint(csr_, src, dst, cfg_.path_k);
+  ps.paths = finder_.edge_disjoint(graph_, src, dst, cfg_.path_k);
 }
 
 const graph::Path* PacketSimulator::select_path(const core::TxUnit& unit) {

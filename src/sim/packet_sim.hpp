@@ -35,7 +35,6 @@
 #include "core/slab.hpp"
 #include "core/transport.hpp"
 #include "core/types.hpp"
-#include "graph/csr.hpp"
 #include "graph/path_table.hpp"
 #include "graph/paths.hpp"
 #include "sim/event_queue.hpp"
@@ -373,8 +372,6 @@ class PacketSimulator {
   [[nodiscard]] std::optional<std::string> audit_queue_counters() const;
 
   const graph::Graph& graph_;
-  /// Frozen CSR view of graph_: the arena the hot path-query loops walk.
-  graph::CsrGraph csr_;
   /// Reusable path-query scratch (single-threaded event loop: one is
   /// enough).
   graph::PathFinder finder_;

@@ -22,8 +22,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 TEST(FluidExtra, PathFormulationRespectsRebalancingBudget) {
   // One-way demand of 5 on a single channel: t(B) = min(B, 5) since each
   // delivered unit needs exactly one unit of rebalancing on the one hop.
-  graph::Graph g(2);
-  g.add_edge(0, 1);
+  graph::Graph g(2, {{0, 1}});
   fluid::PaymentGraph h(2);
   h.set_demand(0, 1, 5.0);
   const fluid::PathSet sp = fluid::k_shortest_path_set(g, h, 1);
@@ -72,9 +71,7 @@ TEST(FluidExtra, EmptyDemandIsTriviallyOptimal) {
 }
 
 TEST(FluidExtra, MissingPathsStarveThatPairOnly) {
-  graph::Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
+  graph::Graph g(3, {{0, 1}, {1, 2}});
   fluid::PaymentGraph h(3);
   h.set_demand(0, 1, 2.0);
   h.set_demand(1, 0, 2.0);

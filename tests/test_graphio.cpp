@@ -10,9 +10,7 @@ namespace spider::graph {
 namespace {
 
 TEST(GraphIo, DotOutput) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
+  Graph g(3, {{0, 1}, {1, 2}});
   std::ostringstream os;
   write_dot(os, g, "test");
   const std::string dot = os.str();
@@ -49,6 +47,29 @@ TEST(GraphIo, MalformedLineThrows) {
 TEST(GraphIo, NonNumericThrows) {
   std::istringstream is("a,b\n");
   EXPECT_THROW((void)read_edge_list_csv(is), std::runtime_error);
+}
+
+TEST(GraphIo, IdsParseWholeFieldOnly) {
+  // Ids are whole decimal fields below kInvalidNode: no trailing text
+  // ("12abc" is not 12), no wrap past 32 bits (2^32 + 1 is not 1), no
+  // sign ("-1" is not 2^32 - 1) and no blanks.
+  for (const char* row : {"0,12abc\n", "12abc,0\n", "0,4294967296\n",
+                          "0,4294967297\n", "0,-1\n", "0,4294967295\n",
+                          "0,+1\n", "0, 1\n", "0,\n", "0,1x\n"}) {
+    std::istringstream is(row);
+    EXPECT_THROW((void)read_edge_list_csv(is), std::runtime_error) << row;
+  }
+  std::istringstream good("0,4\n");
+  EXPECT_EQ(read_edge_list_csv(good).node_count(), 5u);
+}
+
+TEST(GraphIo, ParseNodeId) {
+  EXPECT_EQ(parse_node_id("0"), NodeId{0});
+  EXPECT_EQ(parse_node_id("4294967294"), NodeId{4294967294u});
+  EXPECT_FALSE(parse_node_id("4294967295").has_value());  // kInvalidNode
+  EXPECT_FALSE(parse_node_id("99999999999999999999999").has_value());
+  EXPECT_FALSE(parse_node_id("").has_value());
+  EXPECT_FALSE(parse_node_id("7 ").has_value());
 }
 
 TEST(GraphIo, EmptyInputGivesEmptyGraph) {

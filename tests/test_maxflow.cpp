@@ -14,8 +14,7 @@ std::vector<double> uniform_caps(const Graph& g, double c) {
 }
 
 TEST(MaxFlow, SingleEdge) {
-  Graph g(2);
-  g.add_edge(0, 1);
+  Graph g(2, {{0, 1}});
   const auto r = max_flow(g, 0, 1, uniform_caps(g, 7.0));
   EXPECT_DOUBLE_EQ(r.value, 7.0);
   ASSERT_EQ(r.paths.size(), 1u);
@@ -23,9 +22,7 @@ TEST(MaxFlow, SingleEdge) {
 }
 
 TEST(MaxFlow, LineBottleneck) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
+  Graph g(3, {{0, 1}, {1, 2}});
   std::vector<double> caps(g.arc_count(), 10.0);
   caps[forward_arc(1)] = 3.0;  // 1->2 direction capacity 3
   const auto r = max_flow(g, 0, 2, caps);
@@ -34,11 +31,7 @@ TEST(MaxFlow, LineBottleneck) {
 
 TEST(MaxFlow, ParallelPathsAdd) {
   // Two disjoint 0->3 paths with caps 4 and 6.
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 3);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
+  Graph g(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
   std::vector<double> caps(g.arc_count(), 0.0);
   caps[forward_arc(0)] = 4;
   caps[forward_arc(1)] = 4;
@@ -58,12 +51,11 @@ TEST(MaxFlow, ParallelPathsAdd) {
 
 TEST(MaxFlow, ClassicCancellationInstance) {
   // Diamond with a crossing middle edge: requires residual cancellation.
-  Graph g(4);
-  g.add_edge(0, 1);  // e0
-  g.add_edge(0, 2);  // e1
-  g.add_edge(1, 2);  // e2 (cross)
-  g.add_edge(1, 3);  // e3
-  g.add_edge(2, 3);  // e4
+  Graph g(4, {{0, 1},  // e0
+              {0, 2},  // e1
+              {1, 2},  // e2 (cross)
+              {1, 3},  // e3
+              {2, 3}});  // e4
   std::vector<double> caps(g.arc_count(), 0.0);
   caps[forward_arc(0)] = 10;
   caps[forward_arc(1)] = 10;
@@ -80,23 +72,20 @@ TEST(MaxFlow, LimitStopsEarlyAndExact) {
 }
 
 TEST(MaxFlow, LimitAboveMaxReturnsMax) {
-  Graph g(2);
-  g.add_edge(0, 1);
+  Graph g(2, {{0, 1}});
   const auto r = max_flow(g, 0, 1, uniform_caps(g, 5.0), 100.0);
   EXPECT_DOUBLE_EQ(r.value, 5.0);
 }
 
 TEST(MaxFlow, ZeroCapacityYieldsZero) {
-  Graph g(2);
-  g.add_edge(0, 1);
+  Graph g(2, {{0, 1}});
   const auto r = max_flow(g, 0, 1, uniform_caps(g, 0.0));
   EXPECT_DOUBLE_EQ(r.value, 0.0);
   EXPECT_TRUE(r.paths.empty());
 }
 
 TEST(MaxFlow, BadArgumentsThrow) {
-  Graph g(2);
-  g.add_edge(0, 1);
+  Graph g(2, {{0, 1}});
   EXPECT_THROW((void)max_flow(g, 0, 0, uniform_caps(g, 1.0)),
                std::invalid_argument);
   EXPECT_THROW((void)max_flow(g, 0, 1, std::vector<double>{1.0}),

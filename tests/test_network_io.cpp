@@ -48,6 +48,21 @@ TEST(NetworkIo, RejectsBadRows) {
   EXPECT_THROW((void)read_channels_csv(garbage), std::runtime_error);
 }
 
+TEST(NetworkIo, FieldsParseWholeFieldOnly) {
+  // Every field is parsed whole: no trailing text ("12abc" is not 12),
+  // no wrap of ids past 32 bits, no blanks, no overflowing amounts.
+  for (const char* row :
+       {"0,1,12abc,5\n", "0,1,5,12abc\n", "0,12abc,5,5\n",
+        "0,4294967296,5,5\n", "1,4294967297,5,5\n", "-1,0,5,5\n",
+        "0,1, 5,5\n", "0,1,5,\n", "0,1,99999999999999999999,5\n"}) {
+    std::istringstream is(row);
+    EXPECT_THROW((void)read_channels_csv(is), std::runtime_error) << row;
+  }
+  std::istringstream huge("0,1,9223372036854775807,1\n");
+  EXPECT_EQ(read_channels_csv(huge).deposits[0].first,
+            Amount{9223372036854775807});
+}
+
 TEST(NetworkIo, SizeMismatchThrows) {
   const graph::Graph g = graph::topology::make_ring(4);
   std::ostringstream os;

@@ -144,8 +144,7 @@ TEST(PacketSim, RoundRobinPathPolicy) {
 }
 
 TEST(PacketSim, DisconnectedDestinationFails) {
-  graph::Graph g(3);
-  g.add_edge(0, 1);  // node 2 isolated
+  graph::Graph g(3, {{0, 1}});  // node 2 isolated
   PacketSimConfig cfg;
   cfg.end_time = 10;
   PacketSimulator sim(g, std::vector<Amount>{from_units(100)}, cfg);
@@ -206,8 +205,7 @@ TEST(PacketSim, CongestionControlPacesInjection) {
 }
 
 TEST(PacketSim, CongestionControlHandlesUnroutablePairs) {
-  graph::Graph g(3);
-  g.add_edge(0, 1);  // node 2 unreachable
+  graph::Graph g(3, {{0, 1}});  // node 2 unreachable
   PacketSimConfig cfg;
   cfg.end_time = 20;
   cfg.mtu = from_units(5);
@@ -261,8 +259,7 @@ TEST(PacketSim, CongestionControlHalvesWindowOnSynchronousNoRouteFailure) {
   // `draining` guard turns the cascade into a loop instead of
   // recursion. Every unit must be written off synchronously during the
   // arrival -- none launched, backlog left empty.
-  graph::Graph g(3);
-  g.add_edge(0, 1);  // node 2 unreachable
+  graph::Graph g(3, {{0, 1}});  // node 2 unreachable
   PacketSimConfig cfg;
   cfg.end_time = 20;
   cfg.mtu = from_units(1);

@@ -10,7 +10,6 @@
 #include "exp/report.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
-#include "graph/csr.hpp"
 #include "graph/paths.hpp"
 #include "graph/topology.hpp"
 #include "schemes/path_cache.hpp"
@@ -20,7 +19,6 @@
 namespace {
 
 using namespace spider;
-using graph::CsrGraph;
 using graph::Graph;
 using graph::NodeId;
 using graph::Path;
@@ -69,10 +67,9 @@ TEST(PathPrecomputePlan, DefaultChunkSizeNonZero) {
 
 TEST(PrecomputePaths, MatchesLazyEdgeDisjoint) {
   const Graph g = graph::topology::make_isp32();
-  const CsrGraph csr(g);
   auto plan = exp::PathPrecomputePlan::make(cross_pairs(32, 3), 5, 1);
   const exp::Runner runner(2);
-  const PathTable table = exp::precompute_paths(csr, plan, 4, runner);
+  const PathTable table = exp::precompute_paths(g, plan, 4, runner);
   EXPECT_EQ(table.pair_count(), plan.pairs.size());
   for (const auto& [s, t] : plan.pairs) {
     const auto got = table.find(s, t);
@@ -86,11 +83,10 @@ TEST(PrecomputePaths, MatchesLazyEdgeDisjoint) {
 
 TEST(PrecomputePaths, YenKindMatchesLazyYen) {
   const Graph g = graph::topology::make_isp32();
-  const CsrGraph csr(g);
   auto plan = exp::PathPrecomputePlan::make({{0, 20}, {5, 9}}, 1, 1);
   const exp::Runner runner(1);
   const PathTable table =
-      exp::precompute_paths(csr, plan, 3, runner, exp::PathKind::kYen);
+      exp::precompute_paths(g, plan, 3, runner, exp::PathKind::kYen);
   for (const auto& [s, t] : plan.pairs) {
     const auto got = table.find(s, t);
     const auto want = graph::yen_k_shortest_paths(g, s, t, 3);
@@ -101,14 +97,13 @@ TEST(PrecomputePaths, YenKindMatchesLazyYen) {
 
 TEST(PrecomputePaths, ByteIdenticalAtAnyThreadCount) {
   const Graph g = graph::topology::make_ripple_like(200, 13);
-  const CsrGraph csr(g);
   auto plan = exp::PathPrecomputePlan::make(cross_pairs(200, 17), 8, 3);
   const PathTable serial =
-      exp::precompute_paths(csr, plan, 4, exp::Runner(1));
+      exp::precompute_paths(g, plan, 4, exp::Runner(1));
   const std::uint64_t want = serial.checksum();
   for (const std::size_t threads : {2u, 4u, 8u}) {
     const PathTable parallel =
-        exp::precompute_paths(csr, plan, 4, exp::Runner(threads));
+        exp::precompute_paths(g, plan, 4, exp::Runner(threads));
     EXPECT_EQ(parallel.checksum(), want) << threads << " threads";
     ASSERT_EQ(parallel.pair_count(), serial.pair_count());
     ASSERT_EQ(parallel.path_count(), serial.path_count());
@@ -130,7 +125,7 @@ TEST(PathTable, MissingPairYieldsEmptyAndNoCoverage) {
   const Graph g = graph::topology::make_fig4_example();
   auto plan = exp::PathPrecomputePlan::make({{0, 4}}, 1, 1);
   const PathTable table =
-      exp::precompute_paths(CsrGraph(g), plan, 4, exp::Runner(1));
+      exp::precompute_paths(g, plan, 4, exp::Runner(1));
   EXPECT_TRUE(table.has_pair(0, 4));
   EXPECT_FALSE(table.find(0, 4).empty());
   EXPECT_FALSE(table.has_pair(1, 2));  // computable but not covered
@@ -138,11 +133,10 @@ TEST(PathTable, MissingPairYieldsEmptyAndNoCoverage) {
 }
 
 TEST(PathTable, CoveredDisconnectedPairIsEmptyButPresent) {
-  Graph g(3);
-  g.add_edge(0, 1);  // node 2 is isolated
+  Graph g(3, {{0, 1}});  // node 2 is isolated
   auto plan = exp::PathPrecomputePlan::make({{0, 1}, {0, 2}}, 4, 1);
   const PathTable table =
-      exp::precompute_paths(CsrGraph(g), plan, 4, exp::Runner(1));
+      exp::precompute_paths(g, plan, 4, exp::Runner(1));
   EXPECT_TRUE(table.has_pair(0, 2));
   EXPECT_TRUE(table.find(0, 2).empty());
   EXPECT_EQ(table.find(0, 1).size(), 1u);
@@ -157,7 +151,7 @@ TEST(PacketSim, PrecomputedTableIsByteIdenticalToLazy) {
   for (const workload::Transaction& tx : trace) pairs.emplace_back(tx.src, tx.dst);
   auto plan = exp::PathPrecomputePlan::make(std::move(pairs), 16, 1);
   const PathTable table =
-      exp::precompute_paths(CsrGraph(g), plan, 4, exp::Runner(2));
+      exp::precompute_paths(g, plan, 4, exp::Runner(2));
 
   auto run = [&](const PathTable* warm) {
     sim::PacketSimConfig cfg;
@@ -188,7 +182,7 @@ TEST(PathCacheWarm, WarmedPairsMatchLazyComputation) {
   const Graph g = graph::topology::make_isp32();
   auto plan = exp::PathPrecomputePlan::make(cross_pairs(32, 5), 4, 1);
   const PathTable table =
-      exp::precompute_paths(CsrGraph(g), plan, 4, exp::Runner(2));
+      exp::precompute_paths(g, plan, 4, exp::Runner(2));
 
   schemes::PathCache cold(&g, schemes::PathMode::kEdgeDisjoint, 4);
   schemes::PathCache warm(&g, schemes::PathMode::kEdgeDisjoint, 4);

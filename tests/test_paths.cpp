@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "exp/sweep.hpp"
-#include "graph/csr.hpp"
 #include "graph/topology.hpp"
 #include "workload/workload.hpp"
 
@@ -39,9 +38,7 @@ TEST(BfsShortestPath, SameSourceAndTarget) {
 }
 
 TEST(BfsShortestPath, Unreachable) {
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
+  Graph g(4, {{0, 1}, {2, 3}});
   EXPECT_FALSE(bfs_shortest_path(g, 0, 3).has_value());
 }
 
@@ -56,10 +53,8 @@ TEST(BfsShortestPath, BlockedEdges) {
 
 TEST(Dijkstra, PrefersLightPath) {
   // Triangle where the direct edge is heavy.
-  Graph g(3);
-  const EdgeId direct = g.add_edge(0, 2);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
+  Graph g(3, {{0, 2}, {0, 1}, {1, 2}});
+  const EdgeId direct = 0;
   auto w = [direct](ArcId a) {
     return edge_of(a) == direct ? 10.0 : 1.0;
   };
@@ -99,8 +94,7 @@ TEST(Yen, FindsDistinctPathsInOrder) {
 TEST(Yen, KZeroAndUnreachable) {
   const Graph g = topology::make_line(3);
   EXPECT_TRUE(yen_k_shortest_paths(g, 0, 2, 0).empty());
-  Graph h(3);
-  h.add_edge(0, 1);
+  Graph h(3, {{0, 1}});
   EXPECT_TRUE(yen_k_shortest_paths(h, 0, 2, 3).empty());
 }
 
@@ -128,10 +122,8 @@ TEST(EdgeDisjoint, LimitedByCuts) {
 
 TEST(WidestPath, PicksHighCapacityRoute) {
   // 0-2 direct has capacity 1; 0-1-2 has capacity 5.
-  Graph g(3);
-  const EdgeId direct = g.add_edge(0, 2);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
+  Graph g(3, {{0, 2}, {0, 1}, {1, 2}});
+  const EdgeId direct = 0;
   auto cap = [direct](ArcId a) {
     return edge_of(a) == direct ? 1.0 : 5.0;
   };
@@ -176,9 +168,14 @@ TEST(SpanningTree, CoversAllNodes) {
 }
 
 TEST(SpanningTree, DisconnectedThrows) {
-  Graph g(3);
-  g.add_edge(0, 1);
+  Graph g(3, {{0, 1}});
   EXPECT_THROW((void)bfs_spanning_tree(g), std::invalid_argument);
+}
+
+TEST(SpanningTree, OutOfRangeRootThrows) {
+  const Graph g = topology::make_line(4);
+  EXPECT_THROW((void)bfs_spanning_tree(g, 7), std::out_of_range);
+  EXPECT_EQ(bfs_spanning_tree(g, 3).size(), 3u);
 }
 
 // Property sweep: on random connected graphs, Yen agrees with BFS on the
@@ -229,8 +226,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PathPropertyTest,
 // BENCH checksum depends on, so the bidirectional search must match it
 // path for path.
 
-template <class G>
-std::optional<Path> oracle_bfs(const G& g, NodeId s, NodeId t,
+std::optional<Path> oracle_bfs(const Graph& g, NodeId s, NodeId t,
                                std::span<const char> blocked) {
   if (s >= g.node_count() || t >= g.node_count()) return std::nullopt;
   if (s == t) return Path{s, {}};
@@ -260,8 +256,7 @@ std::optional<Path> oracle_bfs(const G& g, NodeId s, NodeId t,
   return std::nullopt;
 }
 
-template <class G>
-std::vector<Path> oracle_edge_disjoint(const G& g, NodeId s, NodeId t,
+std::vector<Path> oracle_edge_disjoint(const Graph& g, NodeId s, NodeId t,
                                        std::size_t k) {
   std::vector<Path> result;
   std::vector<char> blocked(g.edge_count(), 0);
@@ -279,7 +274,7 @@ std::vector<Path> oracle_edge_disjoint(const G& g, NodeId s, NodeId t,
 Graph random_multigraph(std::mt19937_64& rng) {
   const std::size_t n = 1 + rng() % 40;
   const std::size_t comps = 1 + rng() % 3;
-  Graph g(n);
+  std::vector<EdgeEnds> edges;
   std::vector<std::vector<NodeId>> members(comps);  // isolated nodes: none
   for (NodeId v = 0; v < n; ++v) {
     if (rng() % 8 != 0) members[rng() % comps].push_back(v);
@@ -291,10 +286,10 @@ Graph random_multigraph(std::mt19937_64& rng) {
     const NodeId u = c[rng() % c.size()];
     const NodeId v = c[rng() % c.size()];
     if (u == v) continue;
-    g.add_edge(u, v);
-    if (rng() % 4 == 0) g.add_edge(v, u);  // parallel, either orientation
+    edges.push_back({u, v});
+    if (rng() % 4 == 0) edges.push_back({v, u});  // parallel, either way
   }
-  return g;
+  return Graph(n, edges);
 }
 
 /// Empty, full-length or truncated random blocked-edge mask.
@@ -315,7 +310,6 @@ TEST(BfsExactness, RandomMultigraphsMatchForwardOracle) {
   std::size_t multi_hop = 0;  // answers where a tie-break can matter
   for (int round = 0; round < 3000; ++round) {
     const Graph g = random_multigraph(rng);
-    const CsrGraph csr(g);
     const auto n = static_cast<NodeId>(g.node_count());
     for (int q = 0; q < 12; ++q) {
       const std::vector<char> mask = random_mask(rng, g.edge_count());
@@ -326,8 +320,6 @@ TEST(BfsExactness, RandomMultigraphsMatchForwardOracle) {
       if (want && want->length() >= 2) ++multi_hop;
       ASSERT_EQ(finder.bfs_shortest(g, s, t, mask), want)
           << "round " << round << " s=" << s << " t=" << t;
-      ASSERT_EQ(finder.bfs_shortest(csr, s, t, mask), want)
-          << "round " << round << " s=" << s << " t=" << t;
       ++queries;
     }
     for (std::size_t k = 1; k <= 6; ++k) {
@@ -335,8 +327,6 @@ TEST(BfsExactness, RandomMultigraphsMatchForwardOracle) {
       const NodeId t = static_cast<NodeId>(rng() % n);
       const auto want = oracle_edge_disjoint(g, s, t, k);
       ASSERT_EQ(finder.edge_disjoint(g, s, t, k), want)
-          << "round " << round << " k=" << k;
-      ASSERT_EQ(finder.edge_disjoint(csr, s, t, k), want)
           << "round " << round << " k=" << k;
       ++queries;
     }
@@ -347,7 +337,6 @@ TEST(BfsExactness, RandomMultigraphsMatchForwardOracle) {
 
 TEST(BfsExactness, Ripple3774TraceAtK4MatchesForwardOracle) {
   const Graph g = exp::make_named_topology("ripple-3774");
-  const CsrGraph csr(g);
   const workload::Trace trace =
       workload::generate_trace(g, workload::ripple_workload(6000, 60.0, 1));
   ASSERT_EQ(trace.size(), 6000u);
@@ -355,22 +344,21 @@ TEST(BfsExactness, Ripple3774TraceAtK4MatchesForwardOracle) {
   for (const workload::Transaction& tx : trace) pairs.emplace(tx.src, tx.dst);
   PathFinder finder;
   for (const auto& [s, t] : pairs) {
-    ASSERT_EQ(finder.edge_disjoint(csr, s, t, 4),
-              oracle_edge_disjoint(csr, s, t, 4))
+    ASSERT_EQ(finder.edge_disjoint(g, s, t, 4),
+              oracle_edge_disjoint(g, s, t, 4))
         << s << " -> " << t;
   }
 }
 
 TEST(BfsExactness, Lightning100kSampleMatchesForwardOracle) {
   const Graph g = exp::make_named_topology("lightning-100k");
-  const CsrGraph csr(g);
   std::mt19937_64 rng(100000);
   PathFinder finder;
   for (int i = 0; i < 40; ++i) {
-    const auto s = static_cast<NodeId>(rng() % csr.node_count());
-    const auto t = static_cast<NodeId>(rng() % csr.node_count());
-    ASSERT_EQ(finder.edge_disjoint(csr, s, t, 4),
-              oracle_edge_disjoint(csr, s, t, 4))
+    const auto s = static_cast<NodeId>(rng() % g.node_count());
+    const auto t = static_cast<NodeId>(rng() % g.node_count());
+    ASSERT_EQ(finder.edge_disjoint(g, s, t, 4),
+              oracle_edge_disjoint(g, s, t, 4))
         << s << " -> " << t;
   }
 }

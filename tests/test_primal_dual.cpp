@@ -70,8 +70,7 @@ TEST(PrimalDual, ConvergesToFig4OptimumOnAllTrails) {
 
 TEST(PrimalDual, RespectsBalancePrices) {
   // One-way demand on a single channel: balanced throughput must go to 0.
-  graph::Graph g(2);
-  g.add_edge(0, 1);
+  graph::Graph g(2, {{0, 1}});
   fluid::PaymentGraph h(2);
   h.set_demand(0, 1, 5.0);
   const std::vector<double> cap(g.edge_count(), kInf);
@@ -85,8 +84,7 @@ TEST(PrimalDual, RespectsBalancePrices) {
 }
 
 TEST(PrimalDual, RebalancingRecoversOneWayDemand) {
-  graph::Graph g(2);
-  g.add_edge(0, 1);
+  graph::Graph g(2, {{0, 1}});
   fluid::PaymentGraph h(2);
   h.set_demand(0, 1, 5.0);
   const std::vector<double> cap(g.edge_count(), kInf);
@@ -101,8 +99,7 @@ TEST(PrimalDual, RebalancingRecoversOneWayDemand) {
 
 TEST(PrimalDual, SymmetricDemandSaturates) {
   // Balanced two-way demand should be fully served.
-  graph::Graph g(2);
-  g.add_edge(0, 1);
+  graph::Graph g(2, {{0, 1}});
   fluid::PaymentGraph h(2);
   h.set_demand(0, 1, 2.0);
   h.set_demand(1, 0, 2.0);
@@ -115,8 +112,7 @@ TEST(PrimalDual, SymmetricDemandSaturates) {
 }
 
 TEST(PrimalDual, CapacityPriceLimitsRate) {
-  graph::Graph g(2);
-  g.add_edge(0, 1);
+  graph::Graph g(2, {{0, 1}});
   fluid::PaymentGraph h(2);
   h.set_demand(0, 1, 10.0);
   h.set_demand(1, 0, 10.0);
@@ -174,8 +170,7 @@ TEST(PrimalDual, IdlePriceDecayRecoversFromOvershoot) {
   // Deliberately large steps overshoot and crash the rates to zero; with
   // eq. 24 alone the prices freeze there (imbalance == 0). The idle
   // decay lets the dynamics recover a positive operating point.
-  graph::Graph g(2);
-  g.add_edge(0, 1);
+  graph::Graph g(2, {{0, 1}});
   fluid::PaymentGraph h(2);
   h.set_demand(0, 1, 2.0);
   h.set_demand(1, 0, 2.0);
@@ -489,14 +484,13 @@ struct Instance {
 
 Instance random_instance(std::mt19937_64& rng) {
   const std::size_t n = 3 + rng() % 6;
-  Instance in{Graph(n), PaymentGraph(n), {}};
-  const std::size_t m = n + rng() % (2 * n);
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto u = static_cast<graph::NodeId>(rng() % n);
-    auto v = static_cast<graph::NodeId>(rng() % (n - 1));
-    if (v >= u) ++v;
-    in.g.add_edge(u, v);
+  std::vector<graph::EdgeEnds> edges(n + rng() % (2 * n));
+  for (graph::EdgeEnds& ed : edges) {
+    ed.u = static_cast<graph::NodeId>(rng() % n);
+    ed.v = static_cast<graph::NodeId>(rng() % (n - 1));
+    if (ed.v >= ed.u) ++ed.v;
   }
+  Instance in{Graph(n, edges), PaymentGraph(n), {}};
   const std::size_t pairs = 1 + rng() % (2 * n);
   for (std::size_t i = 0; i < pairs; ++i) {
     const auto s = static_cast<graph::NodeId>(rng() % n);

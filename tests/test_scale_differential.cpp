@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -113,6 +114,30 @@ TEST(ScaleDifferential, CsrSubstrateMatchesSeedBuildExactly) {
     EXPECT_EQ(got.metrics.success_ratio(), want.success_ratio);
     EXPECT_EQ(got.metrics.success_volume(), want.success_volume);
     EXPECT_EQ(got.metrics.latency_p95(), want.latency_p95);
+  }
+}
+
+TEST(ScaleDifferential, NamedTopologyFingerprintsMatchBenchScale) {
+  // BENCH_scale.json's deterministic topology fields: the CSR arena
+  // layout and its FNV mix must not drift.
+  struct Fingerprint {
+    const char* name;
+    std::size_t nodes;
+    std::size_t edges;
+    std::size_t bytes;
+    std::uint64_t checksum;
+  };
+  for (const Fingerprint& want :
+       {Fingerprint{"ripple-3774", 3774, 11316, 196156,
+                    2520230557224508657ull},
+        Fingerprint{"lightning-100k", 100000, 206224, 3699588,
+                    16121751590218330925ull}}) {
+    SCOPED_TRACE(want.name);
+    const graph::Graph g = exp::make_named_topology(want.name);
+    EXPECT_EQ(g.node_count(), want.nodes);
+    EXPECT_EQ(g.edge_count(), want.edges);
+    EXPECT_EQ(g.memory_bytes(), want.bytes);
+    EXPECT_EQ(g.checksum(), want.checksum);
   }
 }
 

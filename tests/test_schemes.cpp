@@ -112,8 +112,7 @@ TEST(WaterfillingScheme, SplitsTowardsWidestPaths) {
 }
 
 TEST(WaterfillingScheme, NoPathsMeansNoChoices) {
-  graph::Graph g(3);
-  g.add_edge(0, 1);
+  graph::Graph g(3, {{0, 1}});
   const std::vector<Amount> caps{from_units(100)};
   ChannelNetwork net(g, caps);
   WaterfillingScheme s(4);

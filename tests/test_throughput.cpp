@@ -67,8 +67,7 @@ TEST(Throughput, BalanceConstraintHolds) {
 TEST(Throughput, CapacityCapsThroughput) {
   // Two nodes, demand 10 each way, channel capacity 4, delta 1:
   // total rate (both directions) <= 4.
-  Graph g(2);
-  g.add_edge(0, 1);
+  Graph g(2, {{0, 1}});
   PaymentGraph h(2);
   h.set_demand(0, 1, 10);
   h.set_demand(1, 0, 10);
@@ -81,8 +80,7 @@ TEST(Throughput, CapacityCapsThroughput) {
 }
 
 TEST(Throughput, DeltaScalesCapacity) {
-  Graph g(2);
-  g.add_edge(0, 1);
+  Graph g(2, {{0, 1}});
   PaymentGraph h(2);
   h.set_demand(0, 1, 10);
   h.set_demand(1, 0, 10);
@@ -95,8 +93,7 @@ TEST(Throughput, DeltaScalesCapacity) {
 }
 
 TEST(Throughput, DemandCapsThroughput) {
-  Graph g(2);
-  g.add_edge(0, 1);
+  Graph g(2, {{0, 1}});
   PaymentGraph h(2);
   h.set_demand(0, 1, 1.5);
   h.set_demand(1, 0, 3.0);
@@ -110,8 +107,7 @@ TEST(Throughput, DemandCapsThroughput) {
 TEST(Throughput, RebalancingUnlocksDagDemand) {
   // Pure one-way demand is unroutable when balanced, fully routable with
   // cheap on-chain rebalancing (gamma < 1).
-  Graph g(2);
-  g.add_edge(0, 1);
+  Graph g(2, {{0, 1}});
   PaymentGraph h(2);
   h.set_demand(0, 1, 5.0);
   const PathSet sp = k_shortest_path_set(g, h, 1);
@@ -130,8 +126,7 @@ TEST(Throughput, RebalancingUnlocksDagDemand) {
 }
 
 TEST(Throughput, LargeGammaDisablesRebalancing) {
-  Graph g(2);
-  g.add_edge(0, 1);
+  Graph g(2, {{0, 1}});
   PaymentGraph h(2);
   h.set_demand(0, 1, 5.0);
   const PathSet sp = k_shortest_path_set(g, h, 1);
