@@ -1,5 +1,6 @@
 #include "core/transport.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace spider::core {
@@ -13,7 +14,8 @@ const std::vector<TxUnit>& Transport::begin_payment(PaymentId id,
   if (mtu <= 0 || req.amount <= 0) {
     throw std::invalid_argument("Transport::begin_payment: bad mtu/amount");
   }
-  if (find_payment(id) != nullptr) {
+  const std::size_t at = lower_bound(id);
+  if (at < index_.size() && index_[at].id == id) {
     throw std::invalid_argument("Transport::begin_payment: duplicate id");
   }
   OutPayment op;
@@ -55,19 +57,19 @@ const std::vector<TxUnit>& Transport::begin_payment(PaymentId id,
   op.confirmed.assign(unit_count, 0);
   op.abandoned.assign(unit_count, 0);
   op.key_released.assign(unit_count, 0);
-  if (id >= slot_of_.size()) slot_of_.resize(id + 1, 0);
+  auto pos = static_cast<std::uint32_t>(payments_.size());
   if (!free_slots_.empty()) {
     // Recycle a retired record's slot; deque addresses are stable, so
     // references held for other (live) payments stay valid.
-    const std::uint32_t pos = free_slots_.back();
+    pos = free_slots_.back();
     free_slots_.pop_back();
-    payments_[pos - 1] = std::move(op);
-    slot_of_[id] = pos;
-    return payments_[pos - 1].units;
+    payments_[pos] = std::move(op);
+  } else {
+    payments_.push_back(std::move(op));
   }
-  payments_.push_back(std::move(op));
-  slot_of_[id] = static_cast<std::uint32_t>(payments_.size());
-  return payments_.back().units;
+  index_.insert(index_.begin() + static_cast<std::ptrdiff_t>(at),
+                IndexEntry{id, pos});
+  return payments_[pos].units;
 }
 
 std::vector<KeyRelease> Transport::confirm_unit(TxUnitId unit, TimePoint now,
@@ -123,13 +125,31 @@ void Transport::abandon_unit(TxUnitId unit) {
 }
 
 void Transport::retire_payment(PaymentId id) {
-  if (find_payment(id) == nullptr) {
+  const std::size_t at = entry_of(id);
+  if (at == index_.size()) {
     throw std::invalid_argument("Transport::retire_payment: unknown id");
   }
-  const std::uint32_t pos = slot_of_[id];
-  slot_of_[id] = 0;
-  payments_[pos - 1] = OutPayment{};  // drop unit/key memory now
+  const std::uint32_t pos = index_[at].pos;
+  index_.erase(index_.begin() + static_cast<std::ptrdiff_t>(at));
+  payments_[pos] = OutPayment{};  // drop unit/key memory now
   free_slots_.push_back(pos);
+}
+
+std::size_t Transport::lower_bound(PaymentId id) const {
+  const auto it = std::lower_bound(
+      index_.begin(), index_.end(), id,
+      [](const IndexEntry& e, PaymentId key) { return e.id < key; });
+  return static_cast<std::size_t>(it - index_.begin());
+}
+
+std::size_t Transport::entry_of(PaymentId id) const {
+  const std::size_t at = lower_bound(id);
+  return at < index_.size() && index_[at].id == id ? at : index_.size();
+}
+
+const Transport::OutPayment* Transport::find_payment(PaymentId id) const {
+  const std::size_t at = entry_of(id);
+  return at < index_.size() ? &payments_[index_[at].pos] : nullptr;
 }
 
 const Transport::OutPayment& Transport::get(PaymentId id) const {

@@ -15,6 +15,7 @@
 #include <deque>
 #include <optional>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "core/htlc.hpp"
@@ -108,7 +109,7 @@ class Transport {
 
   /// Payment records currently held (begun and not yet retired).
   [[nodiscard]] std::size_t live_payments() const {
-    return payments_.size() - free_slots_.size();
+    return index_.size();
   }
 
  private:
@@ -129,27 +130,33 @@ class Transport {
   };
 
   const OutPayment& get(PaymentId id) const;
-  /// Payment ids are dense (the simulators assign them sequentially),
-  /// so lookup is one array index into `slot_of_` instead of a hash:
-  /// remaining() runs on every router-queue push and confirm_unit on
-  /// every ack. Payment records live in a deque so references returned
-  /// by begin_payment stay valid as later payments arrive.
+  /// Position of `id` in `index_`: the first entry whose id is not
+  /// below it.
+  [[nodiscard]] std::size_t lower_bound(PaymentId id) const;
+  /// Position of `id`'s entry in `index_`, or index_.size() when absent.
+  [[nodiscard]] std::size_t entry_of(PaymentId id) const;
+  /// Lookup is a binary search over this sender's live records, so its
+  /// cost and memory follow how many payments the node holds, never
+  /// how large the ids are (ids are global to the simulator; one
+  /// sender sees a sparse subset of them). Payment records live in a
+  /// deque so references returned by begin_payment stay valid as later
+  /// payments arrive.
+  const OutPayment* find_payment(PaymentId id) const;
   OutPayment* find_payment(PaymentId id) {
-    if (id >= slot_of_.size()) return nullptr;
-    const std::uint32_t pos = slot_of_[id];
-    return pos != 0 ? &payments_[pos - 1] : nullptr;
+    return const_cast<OutPayment*>(std::as_const(*this).find_payment(id));
   }
-  const OutPayment* find_payment(PaymentId id) const {
-    if (id >= slot_of_.size()) return nullptr;
-    const std::uint32_t pos = slot_of_[id];
-    return pos != 0 ? &payments_[pos - 1] : nullptr;
-  }
+
+  /// One live record: its payment id and its position in `payments_`.
+  struct IndexEntry {
+    PaymentId id;
+    std::uint32_t pos;
+  };
 
   NodeId node_;
   std::mt19937_64 rng_;  // key generator (same draw order as HtlcKeyRing)
   std::deque<OutPayment> payments_;
-  std::vector<std::uint32_t> slot_of_;  // id -> index+1 (0 = absent)
-  std::vector<std::uint32_t> free_slots_;  // retired positions (index+1)
+  std::vector<IndexEntry> index_;  // sorted by id, one per live record
+  std::vector<std::uint32_t> free_slots_;  // retired positions
   std::uint64_t marked_confirms_ = 0;
   std::uint64_t clean_confirms_ = 0;
 };

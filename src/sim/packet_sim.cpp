@@ -111,16 +111,28 @@ core::PaymentId PacketSimulator::submit(const core::PaymentRequest& req) {
   return requests_.size() - 1;
 }
 
-PacketSimulator::PairState& PacketSimulator::pair_state(core::NodeId src,
-                                                        core::NodeId dst) {
-  std::vector<std::uint32_t>& row = pair_rows_[src];
-  if (row.empty()) row.assign(graph_.node_count(), kNoPair);
-  std::uint32_t& slot = row[dst];
-  if (slot == kNoPair) {
-    slot = static_cast<std::uint32_t>(pairs_.size());
-    pairs_.emplace_back();
-  }
-  return pairs_[slot];
+std::vector<PacketSimulator::PairSlot>::const_iterator
+PacketSimulator::find_dst(const std::vector<PairSlot>& row, core::NodeId dst) {
+  return std::lower_bound(
+      row.begin(), row.end(), dst,
+      [](const PairSlot& slot, core::NodeId d) { return slot.dst < d; });
+}
+
+std::uint32_t PacketSimulator::pair_index(core::NodeId src, core::NodeId dst) {
+  std::vector<PairSlot>& row = pair_rows_[src];
+  const auto it = find_dst(row, dst);
+  if (it != row.end() && it->dst == dst) return it->index;
+  const auto index = static_cast<std::uint32_t>(pairs_.size());
+  pairs_.emplace_back();
+  row.insert(it, PairSlot{dst, index});
+  return index;
+}
+
+void PacketSimulator::PairState::compact_backlog() {
+  if (next == 0 || 2 * next < backlog.size()) return;
+  backlog.erase(backlog.begin(),
+                backlog.begin() + static_cast<std::ptrdiff_t>(next));
+  next = 0;
 }
 
 core::SlabHandle PacketSimulator::handle_of(core::TxUnitId uid) const {
@@ -141,8 +153,8 @@ void PacketSimulator::init_pair_paths(PairState& ps, core::NodeId src,
   ps.paths = finder_.edge_disjoint(graph_, src, dst, cfg_.path_k);
 }
 
-const graph::Path* PacketSimulator::select_path(const core::TxUnit& unit) {
-  PairState& ps = pair_state(unit.src, unit.dst);
+const graph::Path* PacketSimulator::select_path(PairState& ps,
+                                               const core::TxUnit& unit) {
   init_pair_paths(ps, unit.src, unit.dst);
   if (ps.paths.empty()) return nullptr;
   if (cfg_.path_policy == UnitPathPolicy::kRoundRobin) {
@@ -196,52 +208,52 @@ void PacketSimulator::arrive(core::PaymentId pid) {
   const std::vector<core::TxUnit>& units =
       tp->begin_payment(pid, req, cfg_.mtu);
   payment_units_[pid].assign(units.size(), 0);
-  for (const core::TxUnit& u : units) submit_unit(u);
+  const std::uint32_t pair = pair_index(req.src, req.dst);
+  for (const core::TxUnit& u : units) submit_unit(u, pair);
 }
 
-void PacketSimulator::submit_unit(const core::TxUnit& unit) {
+void PacketSimulator::submit_unit(const core::TxUnit& unit,
+                                  std::uint32_t pair) {
   switch (cfg_.cc_mode) {
     case CongestionControlMode::kNone:
-      launch_unit(unit);
+      launch_unit(unit, pair);
       return;
     case CongestionControlMode::kSpiderCc:
-      spider_submit(unit);
+      spider_submit(unit, pair);
       return;
     case CongestionControlMode::kFailureWindow:
       break;
   }
-  PairState& cc = pair_state(unit.src, unit.dst);
+  PairState& cc = pairs_[pair];
   if (!cc.cc_init) {
     cc.cc_init = true;
     cc.window = cfg_.cc_initial_window;
   }
   if (static_cast<double>(cc.outstanding) < cc.window) {
     ++cc.outstanding;
-    launch_unit(unit);
+    launch_unit(unit, pair);
   } else {
     cc.backlog.push_back(unit);
   }
 }
 
-void PacketSimulator::unit_left(core::NodeId src, core::NodeId dst,
-                                std::uint32_t path_index, bool success,
-                                bool marked) {
+void PacketSimulator::unit_left(std::uint32_t pair, std::uint32_t path_index,
+                                bool success, bool marked) {
   switch (cfg_.cc_mode) {
     case CongestionControlMode::kNone:
       return;
     case CongestionControlMode::kFailureWindow:
-      cc_unit_left(src, dst, success);
+      cc_unit_left(pair, success);
       return;
     case CongestionControlMode::kSpiderCc:
-      spider_unit_left(src, dst, path_index, success, marked);
+      spider_unit_left(pair, path_index, success, marked);
       return;
   }
 }
 
-void PacketSimulator::cc_unit_left(core::NodeId src, core::NodeId dst,
-                                   bool success) {
+void PacketSimulator::cc_unit_left(std::uint32_t pair, bool success) {
   if (cfg_.cc_mode != CongestionControlMode::kFailureWindow) return;
-  PairState& cc = pair_state(src, dst);
+  PairState& cc = pairs_[pair];
   if (cc.outstanding > 0) --cc.outstanding;
   if (success) {
     cc.window = std::min(cfg_.cc_max_window, cc.window + 1.0 / cc.window);
@@ -262,31 +274,16 @@ void PacketSimulator::cc_unit_left(core::NodeId src, core::NodeId dst,
       continue;
     }
     ++cc.outstanding;
-    launch_unit(u);
+    launch_unit(u, pair);
   }
   cc.draining = false;
-  if (cc.next > 0 && cc.next == cc.backlog.size()) {
-    cc.backlog.clear();
-    cc.next = 0;
-  }
+  cc.compact_backlog();
 }
 
 std::size_t PacketSimulator::backlog_units() const {
   std::size_t total = 0;
   for (const PairState& ps : pairs_) total += ps.backlog.size() - ps.next;
   return total;
-}
-
-PacketSimulator::PairState& PacketSimulator::spider_pair(core::NodeId src,
-                                                         core::NodeId dst) {
-  PairState& ps = pair_state(src, dst);
-  init_pair_paths(ps, src, dst);
-  if (!ps.cc_init) {
-    ps.cc_init = true;
-    ps.win.assign(ps.paths.size(), cfg_.cc_initial_window);
-    ps.out.assign(ps.paths.size(), 0);
-  }
-  return ps;
 }
 
 std::size_t PacketSimulator::spider_pick_path(const PairState& ps) {
@@ -320,7 +317,8 @@ std::size_t PacketSimulator::spider_pick_path(const PairState& ps) {
   return any_live ? kWindowsFull : kPathsBlocked;
 }
 
-void PacketSimulator::spider_submit(const core::TxUnit& unit) {
+void PacketSimulator::spider_submit(const core::TxUnit& unit,
+                                    std::uint32_t pair) {
   if (faults_ != nullptr && faults_->node_down(unit.src)) {
     // A down host originates nothing (see launch_unit); no window state
     // was touched, so there is nothing to roll back or drain.
@@ -328,7 +326,13 @@ void PacketSimulator::spider_submit(const core::TxUnit& unit) {
     transports_[unit.src]->abandon_unit(unit.id);
     return;
   }
-  PairState& ps = spider_pair(unit.src, unit.dst);
+  PairState& ps = pairs_[pair];
+  init_pair_paths(ps, unit.src, unit.dst);
+  if (!ps.cc_init) {
+    ps.cc_init = true;
+    ps.win.assign(ps.paths.size(), cfg_.cc_initial_window);
+    ps.out.assign(ps.paths.size(), 0);
+  }
   if (ps.paths.empty()) {
     transports_[unit.src]->abandon_unit(unit.id);
     return;
@@ -346,13 +350,15 @@ void PacketSimulator::spider_submit(const core::TxUnit& unit) {
     return;
   }
   ++ps.out[pick];
-  start_unit(unit, &ps.paths[pick], static_cast<std::uint32_t>(pick));
+  start_unit(unit, pair, &ps.paths[pick], static_cast<std::uint32_t>(pick));
 }
 
-void PacketSimulator::spider_unit_left(core::NodeId src, core::NodeId dst,
+void PacketSimulator::spider_unit_left(std::uint32_t pair,
                                        std::uint32_t path_index, bool success,
                                        bool marked) {
-  PairState& ps = spider_pair(src, dst);
+  // The unit launched through spider_submit, so the pair's paths and
+  // windows exist.
+  PairState& ps = pairs_[pair];
   if (path_index < ps.win.size()) {
     if (ps.out[path_index] > 0) --ps.out[path_index];
     double& w = ps.win[path_index];
@@ -383,25 +389,24 @@ void PacketSimulator::spider_unit_left(core::NodeId src, core::NodeId dst,
       continue;
     }
     ++ps.out[pick];
-    start_unit(u, &ps.paths[pick], static_cast<std::uint32_t>(pick));
+    start_unit(u, pair, &ps.paths[pick], static_cast<std::uint32_t>(pick));
   }
   ps.draining = false;
-  if (ps.next > 0 && ps.next == ps.backlog.size()) {
-    ps.backlog.clear();
-    ps.next = 0;
-  }
+  ps.compact_backlog();
 }
 
 std::vector<double> PacketSimulator::cc_windows(core::NodeId src,
                                                 core::NodeId dst) const {
   if (cfg_.cc_mode != CongestionControlMode::kSpiderCc) return {};
   if (src >= pair_rows_.size()) return {};
-  const std::vector<std::uint32_t>& row = pair_rows_[src];
-  if (row.empty() || row[dst] == kNoPair) return {};
-  return pairs_[row[dst]].win;
+  const std::vector<PairSlot>& row = pair_rows_[src];
+  const auto it = find_dst(row, dst);
+  if (it == row.end() || it->dst != dst) return {};
+  return pairs_[it->index].win;
 }
 
-void PacketSimulator::launch_unit(const core::TxUnit& unit) {
+void PacketSimulator::launch_unit(const core::TxUnit& unit,
+                                  std::uint32_t pair) {
   if (faults_ != nullptr && faults_->node_down(unit.src)) {
     // A down host originates nothing. This gate is also the fix for the
     // latent sweep_expired hazard: failing an expired unit drains its
@@ -410,19 +415,19 @@ void PacketSimulator::launch_unit(const core::TxUnit& unit) {
     // router via advance()'s dry-channel path.
     ++metrics_.fault_units_failed;
     transports_[unit.src]->abandon_unit(unit.id);
-    cc_unit_left(unit.src, unit.dst, /*success=*/false);
+    cc_unit_left(pair, /*success=*/false);
     return;
   }
-  const graph::Path* path = select_path(unit);
+  const graph::Path* path = select_path(pairs_[pair], unit);
   if (path == nullptr || path->arcs.empty()) {
     transports_[unit.src]->abandon_unit(unit.id);
-    cc_unit_left(unit.src, unit.dst, /*success=*/false);
+    cc_unit_left(pair, /*success=*/false);
     return;
   }
-  start_unit(unit, path, 0);
+  start_unit(unit, pair, path, 0);
 }
 
-void PacketSimulator::start_unit(const core::TxUnit& unit,
+void PacketSimulator::start_unit(const core::TxUnit& unit, std::uint32_t pair,
                                  const graph::Path* path,
                                  std::uint32_t path_index) {
   const core::SlabHandle h = units_.acquire();
@@ -439,6 +444,7 @@ void PacketSimulator::start_unit(const core::TxUnit& unit,
   st.hop = 0;
   st.htlcs.clear();  // recycled slot may hold the previous tenant's
   st.path_index = path_index;
+  st.pair = pair;
   st.marked = false;
   payment_units_[unit.id.payment][unit.id.seq] = h.packed();
   ++metrics_.units_sent;
@@ -556,20 +562,19 @@ void PacketSimulator::settle_unit(core::TxUnitId uid, core::Preimage key) {
   held_amount_ -=
       st->unit.amount * static_cast<core::Amount>(st->htlcs.size());
   metrics_.delivered_volume += st->unit.amount;
-  const core::NodeId src = st->unit.src;
-  const core::NodeId dst = st->unit.dst;
   const core::PaymentId pid = uid.payment;
-  if (transports_[src]->remaining(pid) == 0) {
+  if (transports_[st->unit.src]->remaining(pid) == 0) {
     metrics_.sum_completion_latency += now() - requests_[pid].arrival;
     metrics_.latency_hist.add(now() - requests_[pid].arrival);
   }
   // The path outlives the unit (owned by PairState); grab it before the
   // slot is released -- servicing below may recycle the slot.
   const graph::Path* path = st->path;
+  const std::uint32_t pair = st->pair;
   const std::uint32_t path_index = st->path_index;
   const bool marked = st->marked;
   units_.release(h);
-  unit_left(src, dst, path_index, /*success=*/true, marked);
+  unit_left(pair, path_index, /*success=*/true, marked);
   for (const graph::ArcId arc : path->arcs) {
     service_arc(graph::reverse(arc));
   }
@@ -596,20 +601,19 @@ void PacketSimulator::fail_unit(core::TxUnitId uid, bool retryable) {
     retry = retry_unit.deadline >= now();
   }
   if (!retry) transports_[st->unit.src]->abandon_unit(uid);
-  const core::NodeId src = st->unit.src;
-  const core::NodeId dst = st->unit.dst;
   const graph::Path* path = st->path;
+  const std::uint32_t pair = st->pair;
   const std::uint32_t path_index = st->path_index;
   const std::size_t locked_hops = st->htlcs.size();
   units_.release(h);
-  unit_left(src, dst, path_index, /*success=*/false, /*marked=*/false);
+  unit_left(pair, path_index, /*success=*/false, /*marked=*/false);
   // Funds return to the offering sides; their sending direction frees up.
   for (std::size_t i = 0; i < locked_hops; ++i) {
     service_arc(path->arcs[i]);
   }
   if (retry) {
     ++metrics_.cc_timeout_retries;
-    spider_submit(retry_unit);
+    spider_submit(retry_unit, pair);
   }
 }
 

@@ -14,11 +14,11 @@
 // checked slab keyed by a one-word handle that rides inside the typed
 // event queue (no per-event allocation, no hash lookups per hop);
 // per-(src,dst) state -- candidate paths, round-robin cursor, AIMD
-// congestion window, host backlog -- lives in one dense table with
-// lazily built per-source rows; router queues are dense per-out-arc
-// vectors addressed by a precomputed arc -> local-index table; queued
-// unit/value totals are O(1) running counters, so the expiry sweep
-// touches only routers that actually queue units.
+// congestion window, host backlog -- lives in one table found once per
+// payment through per-source sorted rows; router queues are dense
+// per-out-arc vectors addressed by a precomputed arc -> local-index
+// table; queued unit/value totals are O(1) running counters, so the
+// expiry sweep touches only routers that actually queue units.
 //
 // Used by the architecture examples, the packet-vs-flow ablation bench,
 // and the end-to-end tests of core/ (channel, transport, router, htlc).
@@ -237,15 +237,16 @@ class PacketSimulator {
   struct UnitState {
     core::TxUnit unit;
     const graph::Path* path = nullptr;  // into PairState::paths (stable)
-    std::size_t hop = 0;                // next arc index to traverse
     std::vector<core::HtlcId> htlcs;    // one per completed offer
+    std::uint32_t hop = 0;              // next arc index to traverse
     std::uint32_t path_index = 0;       // index of `path` in its PairState
+    std::uint32_t pair = 0;             // index of its PairState in pairs_
     bool marked = false;                // one-bit congestion mark (spider-cc)
   };
 
   /// All per-(src, dst) state: candidate paths, the round-robin cursor,
-  /// and the congestion-control window + backlog. Rows of `pair_rows_`
-  /// index into the `pairs_` deque (stable addresses).
+  /// and the congestion-control window + backlog. Lives in the `pairs_`
+  /// deque (stable addresses), found through `pair_rows_`.
   struct PairState {
     std::vector<graph::Path> paths;  // edge-disjoint candidates
     bool paths_init = false;
@@ -260,8 +261,17 @@ class PacketSimulator {
     std::vector<core::TxUnit> backlog;  // FIFO via `next` index
     std::size_t next = 0;
     bool draining = false;
+
+    /// Drops the consumed prefix [0, next) once it is at least half the
+    /// vector, so a pair whose backlog never empties holds only its
+    /// pending units; each unit is moved O(1) times amortized.
+    void compact_backlog();
   };
-  static constexpr std::uint32_t kNoPair = ~std::uint32_t{0};
+  /// One entry of a source's pair row: destination and pairs_ index.
+  struct PairSlot {
+    core::NodeId dst;
+    std::uint32_t index;
+  };
 
   /// Typed-event sink registered with the EventQueue.
   static void dispatch(void* ctx, EventKind kind, std::uint64_t a,
@@ -280,7 +290,12 @@ class PacketSimulator {
   /// guarded so retire + finish never double-count.
   void classify_payment(core::PaymentId pid);
 
-  [[nodiscard]] PairState& pair_state(core::NodeId src, core::NodeId dst);
+  /// Index of the (src, dst) PairState in pairs_, created on first
+  /// touch. Looked up once per payment; units carry the index.
+  [[nodiscard]] std::uint32_t pair_index(core::NodeId src, core::NodeId dst);
+  /// First entry of `row` whose destination is not below `dst`.
+  static std::vector<PairSlot>::const_iterator find_dst(
+      const std::vector<PairSlot>& row, core::NodeId dst);
   /// Fills `ps.paths` on first use: from cfg_.paths when the table
   /// covers the pair, else edge-disjoint shortest paths over the frozen
   /// CSR view through the reusable finder scratch.
@@ -290,22 +305,21 @@ class PacketSimulator {
   [[nodiscard]] core::SlabHandle handle_of(core::TxUnitId uid) const;
 
   void arrive(core::PaymentId pid);
-  /// Admits a unit through congestion control (or directly when
-  /// disabled).
-  void submit_unit(const core::TxUnit& unit);
-  void launch_unit(const core::TxUnit& unit);
+  /// Admits a unit of pair `pair` through congestion control (or
+  /// directly when disabled).
+  void submit_unit(const core::TxUnit& unit, std::uint32_t pair);
+  void launch_unit(const core::TxUnit& unit, std::uint32_t pair);
   /// Called when a unit leaves the network (settled or failed); updates
   /// the AIMD window state and drains the backlog.
-  void unit_left(core::NodeId src, core::NodeId dst,
-                 std::uint32_t path_index, bool success, bool marked);
+  void unit_left(std::uint32_t pair, std::uint32_t path_index, bool success,
+                 bool marked);
   /// kFailureWindow flavour of unit_left (pre-spider-cc semantics).
-  void cc_unit_left(core::NodeId src, core::NodeId dst, bool success);
+  void cc_unit_left(std::uint32_t pair, bool success);
   // --- spider-cc (kSpiderCc) ---------------------------------------
-  /// Lazily builds the pair's candidate paths and per-path windows.
-  PairState& spider_pair(core::NodeId src, core::NodeId dst);
-  /// Window-gated admission: launches onto the path with the most
+  /// Window-gated admission: lazily builds the pair's candidate paths
+  /// and per-path windows, then launches onto the path with the most
   /// window headroom or parks the unit in the host backlog.
-  void spider_submit(const core::TxUnit& unit);
+  void spider_submit(const core::TxUnit& unit, std::uint32_t pair);
   /// Window-gated widest path pick; kPathsBlocked when every candidate
   /// is fault-blocked, kWindowsFull when live paths exist but no window
   /// has room.
@@ -313,14 +327,15 @@ class PacketSimulator {
   static constexpr std::size_t kWindowsFull = static_cast<std::size_t>(-2);
   [[nodiscard]] std::size_t spider_pick_path(const PairState& ps);
   /// AIMD update for path `path_index` + backlog drain.
-  void spider_unit_left(core::NodeId src, core::NodeId dst,
-                        std::uint32_t path_index, bool success, bool marked);
+  void spider_unit_left(std::uint32_t pair, std::uint32_t path_index,
+                        bool success, bool marked);
   // ------------------------------------------------------------------
   /// Slab acquisition + first hop shared by every launch flavour.
-  void start_unit(const core::TxUnit& unit, const graph::Path* path,
-                  std::uint32_t path_index);
-  /// Chosen candidate path for this unit; nullptr when no path exists.
-  const graph::Path* select_path(const core::TxUnit& unit);
+  void start_unit(const core::TxUnit& unit, std::uint32_t pair,
+                  const graph::Path* path, std::uint32_t path_index);
+  /// Chosen candidate path of `ps` for this unit; nullptr when no path
+  /// exists.
+  const graph::Path* select_path(PairState& ps, const core::TxUnit& unit);
   /// Tries to lock the next hop; queues at the router on dry channels.
   /// `queue_delay` is the time the unit just spent waiting in this
   /// hop's router queue (0 on a pass-through) -- the sample feeding the
@@ -386,8 +401,9 @@ class PacketSimulator {
   EventQueue events_;
   std::vector<core::PaymentRequest> requests_;
   /// Per node, built by arrive() on the node's first payment: most
-  /// nodes of a large topology never send, and a Transport is ~2.6 KB
-  /// (mostly its key RNG). Every other access follows a begin_payment.
+  /// nodes of a large topology never send, and an empty Transport is
+  /// ~2.6 KB (mostly its 2.5 KB key RNG), growing with the payments it
+  /// holds. Every other access follows a begin_payment.
   std::vector<std::unique_ptr<core::Transport>> transports_;
   std::vector<core::Router> routers_;  // per node
 
@@ -409,9 +425,10 @@ class PacketSimulator {
   std::vector<std::vector<std::uint64_t>> payment_units_;
   /// arc_local_[a] = index of arc `a` in tail(a)'s out-arc list.
   std::vector<std::uint32_t> arc_local_;
-  /// pair_rows_[src][dst] = index into pairs_ (kNoPair when unused;
-  /// rows themselves are built lazily on a source's first payment).
-  std::vector<std::vector<std::uint32_t>> pair_rows_;
+  /// pair_rows_[src] = the source's touched pairs, sorted by dst: a
+  /// row grows with the destinations the source pays, not with the
+  /// node count. pairs_ indices are assigned in first-touch order.
+  std::vector<std::vector<PairSlot>> pair_rows_;
   std::deque<PairState> pairs_;  // deque: stable addresses for paths
 
   // O(1) running totals over all router queues.

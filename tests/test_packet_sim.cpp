@@ -276,6 +276,44 @@ TEST(PacketSim, CongestionControlHalvesWindowOnSynchronousNoRouteFailure) {
   EXPECT_EQ(sim.backlog_units(), 0u);
 }
 
+TEST(PacketSim, CongestionControlSteadyBacklogKeepsFifoOrder) {
+  // Window 1 on a one-hop pair serves one unit per 0.1 s (hop + ack
+  // delay) while arrivals bring 15 units/s, so the host backlog never
+  // empties. Both drains compact the consumed prefix of such a backlog;
+  // FIFO order, and so every metric, must stay as if nothing moved.
+  for (const CongestionControlMode mode :
+       {CongestionControlMode::kFailureWindow,
+        CongestionControlMode::kSpiderCc}) {
+    const graph::Graph g = graph::topology::make_line(2);
+    PacketSimConfig cfg;
+    cfg.end_time = 30;
+    cfg.mtu = from_units(1);
+    cfg.cc_mode = mode;
+    cfg.cc_initial_window = 1.0;
+    cfg.cc_max_window = 1.0;
+    PacketSimulator sim(g, std::vector<Amount>{from_units(100000)}, cfg);
+    std::uint64_t units = 0;
+    for (int i = 0; i < 140; ++i) {
+      sim.submit(payment(0, 1, 3, 0.5 + 0.2 * i, PaymentKind::kNonAtomic));
+      units += 3;
+    }
+    const Metrics m = sim.run();
+    SCOPED_TRACE(static_cast<int>(mode));
+    EXPECT_EQ(m.units_sent, 295u);
+    // Every unit was launched or still waits in the backlog: none was
+    // dropped or launched twice by the compaction.
+    EXPECT_EQ(m.units_sent + sim.backlog_units(), units);
+    // FIFO: the first 98 payments completed in arrival order; the
+    // 99th has one unit in flight at end_time and the rest never
+    // launched one.
+    EXPECT_EQ(m.succeeded, 98u);
+    EXPECT_EQ(m.partial, 0u);
+    EXPECT_EQ(m.failed, 42u);
+    EXPECT_EQ(m.delivered_volume, from_units(294));
+    EXPECT_TRUE(sim.network().conserves_funds());
+  }
+}
+
 TEST(PacketSim, RoundRobinPathSelectionIsDeterministic) {
   // Same seed, same workload -> bit-identical metrics. Guards the dense
   // per-pair table (round-robin cursors included) against any iteration-
@@ -363,6 +401,38 @@ TEST(PacketSim, SpiderCcMarkedAcksShrinkWindowsMultiplicatively) {
   ASSERT_EQ(wins.size(), 1u);
   EXPECT_LT(wins[0], 4.0);
   EXPECT_TRUE(sim.network().conserves_funds());
+}
+
+TEST(PacketSim, CcWindowsAccessorContract) {
+  const graph::Graph g = graph::topology::make_ring(4);
+  PacketSimConfig cfg;
+  cfg.end_time = 20;
+  cfg.mtu = from_units(5);
+  cfg.cc_mode = CongestionControlMode::kSpiderCc;
+  cfg.cc_initial_window = 3.0;
+  PacketSimulator sim(g, std::vector<Amount>(4, from_units(100)), cfg);
+  sim.submit(payment(0, 2, 20, 1.0, PaymentKind::kNonAtomic));
+  (void)sim.run();
+  // A touched pair: one window per candidate path (the ring offers two
+  // edge-disjoint 0 -> 2 paths).
+  EXPECT_EQ(sim.cc_windows(0, 2).size(), 2u);
+  // Never touched: the reverse pair, another source, another
+  // destination.
+  EXPECT_TRUE(sim.cc_windows(2, 0).empty());
+  EXPECT_TRUE(sim.cc_windows(1, 3).empty());
+  EXPECT_TRUE(sim.cc_windows(0, 3).empty());
+  // Out-of-range endpoints are not an error.
+  EXPECT_TRUE(sim.cc_windows(4, 0).empty());
+  EXPECT_TRUE(sim.cc_windows(0, 4).empty());
+  EXPECT_TRUE(sim.cc_windows(graph::kInvalidNode, 2).empty());
+
+  // Without spider-cc there are no per-path windows, touched or not.
+  PacketSimConfig plain = cfg;
+  plain.cc_mode = CongestionControlMode::kFailureWindow;
+  PacketSimulator other(g, std::vector<Amount>(4, from_units(100)), plain);
+  other.submit(payment(0, 2, 20, 1.0, PaymentKind::kNonAtomic));
+  (void)other.run();
+  EXPECT_TRUE(other.cc_windows(0, 2).empty());
 }
 
 TEST(PacketSim, SpiderCcTimesOutStuckUnitsAndRetries) {

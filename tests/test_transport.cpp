@@ -153,5 +153,39 @@ TEST(Transport, AbandonedUnitNeverConfirms) {
   t.abandon_unit(TxUnitId{42, 0});
 }
 
+TEST(Transport, LargePaymentIdsCostNoMemory) {
+  // Lookup is by the sender's live records, not by id magnitude: ids
+  // near 2^40 and past 2^63 must not size any table.
+  Transport t(0, 1);
+  const PaymentId big = PaymentId{1} << 40;
+  const PaymentId huge = (PaymentId{1} << 63) + 5;
+  const auto a =
+      t.begin_payment(huge, make_request(2000, PaymentKind::kNonAtomic), 1000);
+  const auto b =
+      t.begin_payment(big, make_request(1000, PaymentKind::kAtomic), 1000);
+  ASSERT_EQ(a.size(), 2u);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(a[1].id, (TxUnitId{huge, 1}));
+  EXPECT_EQ(t.live_payments(), 2u);
+
+  EXPECT_EQ(t.confirm_unit(a[0].id, 1.0).size(), 1u);
+  EXPECT_EQ(t.confirm_unit(a[1].id, 1.0).size(), 1u);
+  EXPECT_EQ(t.confirm_unit(b[0].id, 1.0).size(), 1u);
+  EXPECT_EQ(t.status(huge, 2.0), PaymentStatus::kSucceeded);
+  EXPECT_EQ(t.status(big, 2.0), PaymentStatus::kSucceeded);
+  EXPECT_EQ(t.delivered(big), 1000);
+  EXPECT_TRUE(t.resolved(huge));
+
+  t.retire_payment(huge);
+  EXPECT_EQ(t.live_payments(), 1u);
+  EXPECT_THROW((void)t.delivered(huge), std::invalid_argument);
+  EXPECT_EQ(t.delivered(big), 1000);  // the other record is untouched
+  t.retire_payment(big);
+  EXPECT_EQ(t.live_payments(), 0u);
+  EXPECT_THROW(t.retire_payment(big), std::invalid_argument);
+  // A neighbouring id was never begun.
+  EXPECT_THROW((void)t.request(big + 1), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace spider::core
