@@ -28,13 +28,8 @@ sim::Metrics run_packet(const graph::Graph& g, const workload::Trace& trace,
   sim::PacketSimulator psim(
       g, std::vector<core::Amount>(g.edge_count(), core::from_units(600)),
       cfg);
-  for (const workload::Transaction& tx : trace) {
-    core::PaymentRequest req;
-    req.src = tx.src;
-    req.dst = tx.dst;
-    req.amount = tx.amount;
-    req.arrival = tx.arrival;
-    req.deadline = tx.arrival + 20.0;  // bounded queueing
+  for (core::PaymentRequest req : trace) {
+    req.deadline = req.arrival + 20.0;  // bounded queueing
     psim.submit(req);
   }
   return psim.run();

@@ -80,13 +80,8 @@ int main(int argc, char** argv) {
             g,
             std::vector<core::Amount>(g.edge_count(), core::from_units(600)),
             pcfg);
-        for (const workload::Transaction& tx : ptrace) {
-          core::PaymentRequest req;
-          req.src = tx.src;
-          req.dst = tx.dst;
-          req.amount = tx.amount;
-          req.arrival = tx.arrival;
-          req.deadline = tx.arrival + 20.0;
+        for (core::PaymentRequest req : ptrace) {
+          req.deadline = req.arrival + 20.0;
           psim.submit(req);
         }
         return psim.run();

@@ -33,14 +33,7 @@ int main() {
     sim::FlowSimulator fs(
         g, std::vector<core::Amount>(g.edge_count(), core::from_units(3000)),
         scheme, cfg);
-    for (const workload::Transaction& tx : trace) {
-      core::PaymentRequest req;
-      req.src = tx.src;
-      req.dst = tx.dst;
-      req.amount = tx.amount;
-      req.arrival = tx.arrival;
-      fs.add_payment(req);
-    }
+    for (const core::PaymentRequest& req : trace) fs.add_payment(req);
     const sim::Metrics m = fs.run(demand);
     std::printf("%-16lld %13.3f %14.3f %14.1f\n",
                 static_cast<long long>(ppm), m.success_ratio(),

@@ -62,13 +62,8 @@ HotpathResult run_hotpath_trial(const graph::Graph& g,
       std::vector<core::Amount>(g.edge_count(),
                                 core::from_units(hc.capacity_units)),
       cfg);
-  for (const workload::Transaction& tx : trace) {
-    core::PaymentRequest req;
-    req.src = tx.src;
-    req.dst = tx.dst;
-    req.amount = tx.amount;
-    req.arrival = tx.arrival;
-    req.deadline = tx.arrival + hc.deadline_offset;
+  for (core::PaymentRequest req : trace) {
+    req.deadline = req.arrival + hc.deadline_offset;
     psim.submit(req);
   }
   HotpathResult r;

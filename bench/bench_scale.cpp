@@ -146,14 +146,7 @@ SimRun run_packet_trial(const graph::Graph& g, const workload::Trace& trace,
       cfg);
   SimRun r;
   r.construct_rss_mb = current_rss_mb();
-  for (const workload::Transaction& tx : trace) {
-    core::PaymentRequest req;
-    req.src = tx.src;
-    req.dst = tx.dst;
-    req.amount = tx.amount;
-    req.arrival = tx.arrival;
-    psim.submit(req);
-  }
+  for (const core::PaymentRequest& req : trace) psim.submit(req);
   const auto t0 = Clock::now();
   r.metrics = psim.run();
   r.wall_seconds = seconds_since(t0);
@@ -198,7 +191,7 @@ exp::Json run_block(const ScaleBlock& b, std::size_t threads) {
                                    exp::derive_seed(44, 0)));
   std::vector<graph::PathTable::Pair> pairs;
   pairs.reserve(trace.size() + b.extra_pairs);
-  for (const workload::Transaction& tx : trace) {
+  for (const core::PaymentRequest& tx : trace) {
     pairs.emplace_back(tx.src, tx.dst);
   }
   const auto strided =

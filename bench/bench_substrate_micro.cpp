@@ -187,14 +187,7 @@ void BM_FlowSimThroughput(benchmark::State& state) {
     sim::FlowSimulator fs(
         g, std::vector<core::Amount>(g.edge_count(), core::from_units(3000)),
         scheme, cfg);
-    for (const workload::Transaction& tx : trace) {
-      core::PaymentRequest req;
-      req.src = tx.src;
-      req.dst = tx.dst;
-      req.amount = tx.amount;
-      req.arrival = tx.arrival;
-      fs.add_payment(req);
-    }
+    for (const core::PaymentRequest& req : trace) fs.add_payment(req);
     benchmark::DoNotOptimize(fs.run(fluid::PaymentGraph(g.node_count())));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/parse.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
 #include "schemes/schemes.hpp"
@@ -37,22 +38,26 @@ struct BenchArgs {
 };
 
 inline BenchArgs parse_bench_args(int argc, char** argv) {
+  const auto usage = [argv] {
+    std::fprintf(stderr, "usage: %s [--threads N] [--json PATH] [--csv PATH]\n",
+                 argv[0]);
+    std::exit(2);
+  };
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const auto has_value = [&](const char* flag) {
       return std::strcmp(argv[i], flag) == 0 && i + 1 < argc;
     };
     if (has_value("--threads")) {
-      args.threads = static_cast<std::size_t>(std::atoll(argv[++i]));
+      const auto n = core::parse_number<std::size_t>(argv[++i]);
+      if (!n) usage();  // whole-field only: "4x" is not 4
+      args.threads = *n;
     } else if (has_value("--json")) {
       args.json_out = argv[++i];
     } else if (has_value("--csv")) {
       args.csv_out = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--threads N] [--json PATH] [--csv PATH]\n",
-                   argv[0]);
-      std::exit(2);
+      usage();
     }
   }
   return args;
@@ -95,14 +100,7 @@ inline sim::Metrics run_flow_scheme(const std::string& scheme_name,
       std::vector<core::Amount>(g.edge_count(),
                                 core::from_units(rc.capacity_units)),
       *scheme, cfg);
-  for (const workload::Transaction& tx : trace) {
-    core::PaymentRequest req;
-    req.src = tx.src;
-    req.dst = tx.dst;
-    req.amount = tx.amount;
-    req.arrival = tx.arrival;
-    fs.add_payment(req);
-  }
+  for (const core::PaymentRequest& req : trace) fs.add_payment(req);
   return fs.run(demand);
 }
 

@@ -46,14 +46,7 @@ int main(int argc, char** argv) {
         g,
         std::vector<core::Amount>(g.edge_count(), from_units(30000 / 10.0)),
         *scheme, cfg);
-    for (const workload::Transaction& tx : trace) {
-      core::PaymentRequest req;
-      req.src = tx.src;
-      req.dst = tx.dst;
-      req.amount = tx.amount;
-      req.arrival = tx.arrival;
-      fs.add_payment(req);
-    }
+    for (const core::PaymentRequest& req : trace) fs.add_payment(req);
     const sim::Metrics m = fs.run(demand);
     std::printf("%-22s %8.3f %8.3f %10llu %10.2f\n", name.c_str(),
                 m.success_ratio(), m.success_volume(),

@@ -22,7 +22,9 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
+#include "core/parse.hpp"
 #include "exp/report.hpp"
 #include "exp/sweep.hpp"
 #include "service/service.hpp"
@@ -61,6 +63,17 @@ CliArgs parse(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Whole-field numbers only: "abc" or "4x" is a usage error.
+    const auto number = [&](const char* flag, auto& out) {
+      const char* text = need(flag);
+      const auto v =
+          core::parse_number<std::remove_reference_t<decltype(out)>>(text);
+      if (!v) {
+        std::fprintf(stderr, "bad value for %s: %s\n", flag, text);
+        usage(argv[0]);
+      }
+      out = *v;
+    };
     if (std::strcmp(argv[i], "--topology") == 0) {
       a.cfg.topology = need("--topology");
     } else if (std::strcmp(argv[i], "--scheme") == 0) {
@@ -70,17 +83,17 @@ CliArgs parse(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--adversary") == 0) {
       a.cfg.adversary = need("--adversary");
     } else if (std::strcmp(argv[i], "--duration") == 0) {
-      a.cfg.duration = std::atof(need("--duration"));
+      number("--duration", a.cfg.duration);
     } else if (std::strcmp(argv[i], "--window") == 0) {
-      a.cfg.window = std::atof(need("--window"));
+      number("--window", a.cfg.window);
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      a.cfg.seed = static_cast<std::uint64_t>(std::atoll(need("--seed")));
+      number("--seed", a.cfg.seed);
     } else if (std::strcmp(argv[i], "--audit") == 0) {
       a.cfg.audit = true;
     } else if (std::strcmp(argv[i], "--no-retire") == 0) {
       a.cfg.retire = false;
     } else if (std::strcmp(argv[i], "--snapshot-every") == 0) {
-      a.snapshot_every = std::atof(need("--snapshot-every"));
+      number("--snapshot-every", a.snapshot_every);
     } else if (std::strcmp(argv[i], "--snapshot-out") == 0) {
       a.snapshot_out = need("--snapshot-out");
     } else if (std::strcmp(argv[i], "--restore") == 0) {

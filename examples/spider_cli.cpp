@@ -15,8 +15,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
+#include "core/parse.hpp"
 #include "exp/sweep.hpp"
 #include "graph/topology.hpp"
 #include "schemes/schemes.hpp"
@@ -38,27 +42,34 @@ using namespace spider;
   std::exit(2);
 }
 
+/// Node count of a "kind:N" topology spec.
+std::size_t topology_size(std::string_view text) {
+  const std::optional<std::size_t> n = core::parse_number<std::size_t>(text);
+  if (!n) usage("bad topology size");
+  return *n;
+}
+
 graph::Graph parse_topology(const std::string& spec, std::uint64_t seed) {
   const auto colon = spec.find(':');
   const std::string kind = spec.substr(0, colon);
   const std::string arg =
       colon == std::string::npos ? "" : spec.substr(colon + 1);
   if (kind == "isp32") return graph::topology::make_isp32();
-  if (kind == "ring") return graph::topology::make_ring(std::stoul(arg));
+  if (kind == "ring") return graph::topology::make_ring(topology_size(arg));
   if (kind == "ripple") {
-    return graph::topology::make_ripple_like(std::stoul(arg), seed);
+    return graph::topology::make_ripple_like(topology_size(arg), seed);
   }
   if (kind == "lightning") {
-    return graph::topology::make_lightning_like(std::stoul(arg), seed);
+    return graph::topology::make_lightning_like(topology_size(arg), seed);
   }
   if (kind == "er") {
-    return graph::topology::make_erdos_renyi(std::stoul(arg), 0.2, seed);
+    return graph::topology::make_erdos_renyi(topology_size(arg), 0.2, seed);
   }
   if (kind == "grid") {
     const auto x = arg.find('x');
     if (x == std::string::npos) usage("grid needs RxC");
-    return graph::topology::make_grid(std::stoul(arg.substr(0, x)),
-                                      std::stoul(arg.substr(x + 1)));
+    return graph::topology::make_grid(topology_size(arg.substr(0, x)),
+                                      topology_size(arg.substr(x + 1)));
   }
   // Fall back to the sweep layer's dash-named topologies
   // (ripple-3774, lightning-100k, ...), which carry fixed seeds so
@@ -99,14 +110,22 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + a).c_str());
       return argv[++i];
     };
+    // Whole-field numbers only: "12abc" or "abc" is a usage error.
+    auto number = [&](auto& out) {
+      const std::string text = next();
+      const auto v =
+          core::parse_number<std::remove_reference_t<decltype(out)>>(text);
+      if (!v) usage(("bad value for " + a + ": " + text).c_str());
+      out = *v;
+    };
     if (a == "--topology") topology = next();
     else if (a == "--scheme") scheme_name = next();
     else if (a == "--workload") workload_kind = next();
-    else if (a == "--txns") txns = std::stoul(next());
-    else if (a == "--duration") duration = std::stod(next());
-    else if (a == "--capacity") capacity = std::stod(next());
-    else if (a == "--seed") seed = std::stoull(next());
-    else if (a == "--fee-ppm") fee_ppm = std::stoll(next());
+    else if (a == "--txns") number(txns);
+    else if (a == "--duration") number(duration);
+    else if (a == "--capacity") number(capacity);
+    else if (a == "--seed") number(seed);
+    else if (a == "--fee-ppm") number(fee_ppm);
     else if (a == "--policy") policy = parse_policy(next());
     else if (a == "--rebalance") rebalance = true;
     else if (a == "--series") series = true;
@@ -138,14 +157,7 @@ int main(int argc, char** argv) {
       g,
       std::vector<core::Amount>(g.edge_count(), core::from_units(capacity)),
       *scheme, cfg);
-  for (const workload::Transaction& tx : trace) {
-    core::PaymentRequest req;
-    req.src = tx.src;
-    req.dst = tx.dst;
-    req.amount = tx.amount;
-    req.arrival = tx.arrival;
-    fs.add_payment(req);
-  }
+  for (const core::PaymentRequest& req : trace) fs.add_payment(req);
   const sim::Metrics m = fs.run(demand);
 
   std::printf("topology=%s nodes=%zu edges=%zu scheme=%s workload=%s\n",

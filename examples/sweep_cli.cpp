@@ -15,8 +15,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "core/parse.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
 #include "schemes/schemes.hpp"
@@ -87,14 +89,26 @@ std::vector<std::string> split_csv(const std::string& s) {
 CliOptions parse(int argc, char** argv) {
   CliOptions opt;
   for (int i = 1; i < argc; ++i) {
+    const char* flag = argv[i];
     const auto value = [&]() -> const char* {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // Whole-field numbers only: "4x" or "12abc" is a usage error.
+    const auto number = [&](auto& out) {
+      const char* text = value();
+      const auto v =
+          core::parse_number<std::remove_reference_t<decltype(out)>>(text);
+      if (!v) {
+        std::fprintf(stderr, "bad value for %s: %s\n", flag, text);
+        usage(argv[0]);
+      }
+      out = *v;
+    };
     if (std::strcmp(argv[i], "--sweep") == 0) {
       opt.sweep = value();
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      opt.threads = static_cast<std::size_t>(std::atoll(value()));
+      number(opt.threads);
     } else if (std::strcmp(argv[i], "--json") == 0) {
       opt.json_out = value();
     } else if (std::strcmp(argv[i], "--csv") == 0) {
@@ -104,25 +118,25 @@ CliOptions parse(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--topologies") == 0) {
       opt.topologies = split_csv(value());
     } else if (std::strcmp(argv[i], "--seeds") == 0) {
-      opt.seeds = static_cast<std::size_t>(std::atoll(value()));
+      number(opt.seeds);
     } else if (std::strcmp(argv[i], "--txns") == 0) {
-      opt.txns = static_cast<std::size_t>(std::atoll(value()));
+      number(opt.txns);
     } else if (std::strcmp(argv[i], "--base-seed") == 0) {
-      opt.base_seed = static_cast<std::uint64_t>(std::atoll(value()));
+      number(opt.base_seed);
     } else if (std::strcmp(argv[i], "--deadline") == 0) {
-      opt.deadline = std::atof(value());
+      number(opt.deadline);
     } else if (std::strcmp(argv[i], "--mtu") == 0) {
-      opt.mtu_units = std::atof(value());
+      number(opt.mtu_units);
     } else if (std::strcmp(argv[i], "--cc-win0") == 0) {
-      opt.cc_win0 = std::atof(value());
+      number(opt.cc_win0);
     } else if (std::strcmp(argv[i], "--cc-wmax") == 0) {
-      opt.cc_wmax = std::atof(value());
+      number(opt.cc_wmax);
     } else if (std::strcmp(argv[i], "--cc-alpha") == 0) {
-      opt.cc_alpha = std::atof(value());
+      number(opt.cc_alpha);
     } else if (std::strcmp(argv[i], "--cc-beta") == 0) {
-      opt.cc_beta = std::atof(value());
+      number(opt.cc_beta);
     } else if (std::strcmp(argv[i], "--cc-thresh") == 0) {
-      opt.cc_thresh = std::atof(value());
+      number(opt.cc_thresh);
     } else if (std::strcmp(argv[i], "--series") == 0) {
       opt.collect_series = true;
     } else if (std::strcmp(argv[i], "--audit") == 0) {
@@ -143,18 +157,18 @@ exp::SweepConfig named_sweep(const std::string& name) {
     cfg.schemes = {"shortest-path", "spider-waterfilling"};
     cfg.topologies = {"ring-8"};
     cfg.capacities_units = {200.0};
-    cfg.txns = 400;
-    cfg.end_time = 30.0;
+    cfg.base.txns = 400;
+    cfg.base.end_time = 30.0;
   } else if (name == "fig6") {
     cfg.topologies = {"isp32", "ripple-3774"};
     cfg.capacities_units = {3000.0};
-    cfg.txns = 20000;
-    cfg.end_time = 200.0;
+    cfg.base.txns = 20000;
+    cfg.base.end_time = 200.0;
   } else if (name == "fig7") {
     cfg.topologies = {"isp32"};
     cfg.capacities_units = {1000, 2000, 3000, 5000, 10000};
-    cfg.txns = 12000;
-    cfg.end_time = 200.0;
+    cfg.base.txns = 12000;
+    cfg.base.end_time = 200.0;
   } else if (name == "spidercc") {
     // Spider-cc (packet-level AIMD/marking) against its fluid ancestor
     // on the fig-6 grid; the deadline bounds how long a unit may sit in
@@ -162,9 +176,9 @@ exp::SweepConfig named_sweep(const std::string& name) {
     cfg.schemes = {"spider-cc", "spider-waterfilling"};
     cfg.topologies = {"isp32", "ripple-3774"};
     cfg.capacities_units = {3000.0};
-    cfg.txns = 20000;
-    cfg.end_time = 200.0;
-    cfg.deadline_offset = 20.0;
+    cfg.base.txns = 20000;
+    cfg.base.end_time = 200.0;
+    cfg.base.deadline_offset = 20.0;
   } else {
     std::fprintf(stderr, "unknown sweep: %s\n", name.c_str());
     std::exit(2);
@@ -178,26 +192,27 @@ int run(int argc, char** argv) {
   if (!opt.schemes.empty()) cfg.schemes = opt.schemes;
   if (!opt.topologies.empty()) cfg.topologies = opt.topologies;
   if (opt.seeds > 0) cfg.seeds = opt.seeds;
-  if (opt.txns > 0) cfg.txns = opt.txns;
   if (opt.base_seed > 0) cfg.base_seed = opt.base_seed;
-  if (opt.deadline > 0) cfg.deadline_offset = opt.deadline;
-  if (opt.mtu_units > 0) cfg.mtu_units = opt.mtu_units;
-  if (opt.cc_win0 > 0) cfg.cc_initial_window = opt.cc_win0;
-  if (opt.cc_wmax > 0) cfg.cc_max_window = opt.cc_wmax;
-  if (opt.cc_alpha > 0) cfg.cc_alpha = opt.cc_alpha;
-  if (opt.cc_beta > 0) cfg.cc_beta = opt.cc_beta;
-  if (opt.cc_thresh > 0) cfg.cc_mark_threshold = opt.cc_thresh;
-  cfg.collect_series = opt.collect_series;
-  cfg.audit = opt.audit;
-  cfg.faults = opt.faults;
+  exp::TrialSpec& base = cfg.base;
+  if (opt.txns > 0) base.txns = opt.txns;
+  if (opt.deadline > 0) base.deadline_offset = opt.deadline;
+  if (opt.mtu_units > 0) base.mtu_units = opt.mtu_units;
+  if (opt.cc_win0 > 0) base.cc_initial_window = opt.cc_win0;
+  if (opt.cc_wmax > 0) base.cc_max_window = opt.cc_wmax;
+  if (opt.cc_alpha > 0) base.cc_alpha = opt.cc_alpha;
+  if (opt.cc_beta > 0) base.cc_beta = opt.cc_beta;
+  if (opt.cc_thresh > 0) base.cc_mark_threshold = opt.cc_thresh;
+  base.collect_series = opt.collect_series;
+  base.audit = opt.audit;
+  base.faults = opt.faults;
 
   const exp::Runner runner(opt.threads);
   const std::vector<exp::TrialSpec> trials = exp::make_trials(cfg);
   std::printf("sweep %s: %zu trials on %zu threads%s\n", cfg.name.c_str(),
               trials.size(), runner.threads(),
-              cfg.audit ? " (invariant audit on)" : "");
-  if (!cfg.faults.empty()) {
-    std::printf("fault profile: %s\n", cfg.faults.c_str());
+              base.audit ? " (invariant audit on)" : "");
+  if (!base.faults.empty()) {
+    std::printf("fault profile: %s\n", base.faults.c_str());
   }
 
   const auto t0 = std::chrono::steady_clock::now();

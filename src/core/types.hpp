@@ -86,6 +86,9 @@ struct PaymentRequest {
   TimePoint deadline = kNever;
   Amount max_fee = std::numeric_limits<Amount>::max();
   PaymentKind kind = PaymentKind::kNonAtomic;
+
+  friend bool operator==(const PaymentRequest&,
+                         const PaymentRequest&) = default;
 };
 
 }  // namespace spider::core

@@ -46,8 +46,7 @@ PathPrecomputePlan PathPrecomputePlan::make(
 
 graph::PathTable precompute_paths(const graph::Graph& g,
                                   const PathPrecomputePlan& plan,
-                                  std::size_t k, const Runner& runner,
-                                  PathKind kind) {
+                                  std::size_t k, const Runner& runner) {
   // Fan out: one private PathFinder per chunk invocation, one result
   // slot per chunk (Runner::map returns slots in chunk-index order no
   // matter which thread ran what). Queries only read the immutable
@@ -60,9 +59,7 @@ graph::PathTable precompute_paths(const graph::Graph& g,
         out.reserve(c.end - c.begin);
         for (std::size_t i = c.begin; i < c.end; ++i) {
           const auto [src, dst] = plan.pairs[i];
-          out.push_back(kind == PathKind::kEdgeDisjoint
-                            ? finder.edge_disjoint(g, src, dst, k)
-                            : finder.yen(g, src, dst, k));
+          out.push_back(finder.edge_disjoint(g, src, dst, k));
         }
         return out;
       });

@@ -31,14 +31,6 @@
 
 namespace spider::exp {
 
-/// What precompute_paths computes per pair. Mirrors the lazy call sites
-/// it replaces: the packet simulator and PathCache's kEdgeDisjoint mode
-/// use edge-disjoint shortest paths; kYen matches PathMode::kKShortest.
-enum class PathKind : std::uint8_t {
-  kEdgeDisjoint,
-  kYen,
-};
-
 /// One worker-owned slice of the pair list: pairs [begin, end) of the
 /// plan's pair vector, plus the chunk's derived seed.
 struct PrecomputeChunk {
@@ -69,11 +61,13 @@ struct PathPrecomputePlan {
 [[nodiscard]] std::vector<graph::PathTable::Pair> unique_pairs(
     std::span<const graph::PathTable::Pair> raw);
 
-/// Runs the plan over the runner's pool: `k` paths of `kind` per pair,
-/// byte-identical at any thread count. The graph must stay alive for
-/// the duration of the call only (the table copies everything).
-[[nodiscard]] graph::PathTable precompute_paths(
-    const graph::Graph& g, const PathPrecomputePlan& plan, std::size_t k,
-    const Runner& runner, PathKind kind = PathKind::kEdgeDisjoint);
+/// Runs the plan over the runner's pool: `k` edge-disjoint shortest
+/// paths per pair (what the packet simulator computes lazily), byte-
+/// identical at any thread count. The graph must stay alive for the
+/// duration of the call only (the table copies everything).
+[[nodiscard]] graph::PathTable precompute_paths(const graph::Graph& g,
+                                                const PathPrecomputePlan& plan,
+                                                std::size_t k,
+                                                const Runner& runner);
 
 }  // namespace spider::exp

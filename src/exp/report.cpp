@@ -1,22 +1,16 @@
 #include "exp/report.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <type_traits>
+
+#include "core/parse.hpp"
 
 namespace spider::exp {
 
 namespace {
-
-/// Shortest-round-trip double formatting: deterministic, and parsing the
-/// result recovers the exact bit pattern (std::to_chars guarantee).
-std::string format_double(double d) {
-  char buf[40];
-  const auto res = std::to_chars(buf, buf + sizeof buf, d);
-  return std::string(buf, res.ptr);
-}
 
 void escape_string(const std::string& s, std::string& out) {
   out.push_back('"');
@@ -214,19 +208,12 @@ class Parser {
     const std::string_view tok = text_.substr(start, pos_ - start);
     if (tok.empty() || tok == "-") fail("bad number");
     if (!is_double) {
-      std::int64_t i = 0;
-      const auto res = std::from_chars(tok.data(), tok.data() + tok.size(), i);
-      if (res.ec == std::errc() && res.ptr == tok.data() + tok.size()) {
-        return Json(i);
-      }
+      if (const auto i = core::parse_number<std::int64_t>(tok)) return Json(*i);
       // fall through (overflowing integer) to double
     }
-    double d = 0;
-    const auto res = std::from_chars(tok.data(), tok.data() + tok.size(), d);
-    if (res.ec != std::errc() || res.ptr != tok.data() + tok.size()) {
-      fail("bad number");
-    }
-    return Json(d);
+    const std::optional<double> d = core::parse_number<double>(tok);
+    if (!d) fail("bad number");
+    return Json(*d);
   }
 
   std::string_view text_;
@@ -302,7 +289,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
   } else if (const auto* i = std::get_if<std::int64_t>(&value_)) {
     out += std::to_string(*i);
   } else if (const auto* d = std::get_if<double>(&value_)) {
-    out += format_double(*d);
+    out += core::format_double(*d);
   } else if (const auto* s = std::get_if<std::string>(&value_)) {
     escape_string(*s, out);
   } else if (const auto* arr = std::get_if<Array>(&value_)) {
@@ -435,13 +422,9 @@ auto read_field(const Json& j, const std::string& key, Read read) {
 /// the column unless every character is consumed.
 template <typename T>
 T parse_column(std::string_view col, const char* name) {
-  T v{};
-  const auto res = std::from_chars(col.data(), col.data() + col.size(), v);
-  if (res.ec != std::errc() || res.ptr != col.data() + col.size()) {
-    throw std::runtime_error("metrics_from_csv_row: bad value '" +
-                             std::string(col) + "' in column " + name);
-  }
-  return v;
+  if (const std::optional<T> v = core::parse_number<T>(col)) return *v;
+  throw std::runtime_error("metrics_from_csv_row: bad value '" +
+                           std::string(col) + "' in column " + name);
 }
 
 }  // namespace
@@ -507,7 +490,7 @@ std::string metrics_csv_row(const sim::Metrics& m) {
   const auto add = [&row](const auto v) {
     if (!row.empty()) row.push_back(',');
     if constexpr (std::is_same_v<decltype(v), const double>) {
-      row += format_double(v);
+      row += core::format_double(v);
     } else {
       row += std::to_string(v);
     }

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #include "faults/fault_profile.hpp"
 #include "faults/injector.hpp"
@@ -67,30 +68,42 @@ graph::Graph make_named_topology(const std::string& name) {
 
 namespace {
 
+/// Flow-simulator trial: the scheme routes the trace under the paper's
+/// §6.1 flow semantics.
+sim::Metrics run_flow_trial(const TrialSpec& spec, const graph::Graph& g,
+                            std::vector<core::Amount> capacity,
+                            const workload::Trace& trace,
+                            sim::InvariantAuditor* auditor,
+                            faults::FaultInjector* injector) {
+  const auto scheme = schemes::make_scheme(spec.scheme);
+  sim::FlowSimConfig cfg;
+  cfg.end_time = spec.end_time;
+  cfg.delta = spec.delta;
+  cfg.max_retries_per_poll = spec.max_retries_per_poll;
+  cfg.retry_policy = spec.retry_policy;
+  cfg.collect_series = spec.collect_series;
+  cfg.series_bucket = spec.series_bucket;
+  cfg.auditor = auditor;
+  cfg.faults = injector;
+  sim::FlowSimulator fs(g, std::move(capacity), *scheme, cfg);
+  for (const core::PaymentRequest& req : trace) fs.add_payment(req);
+  return fs.run(
+      workload::estimate_demand(g.node_count(), trace, spec.end_time));
+}
+
 /// Packet-simulator-backed trial: spider-cc's marking/AIMD dynamics are
 /// per-unit by nature, so its trials run the sweep's topology + trace on
 /// sim::PacketSimulator (cc_mode kSpiderCc) instead of the flow model;
 /// "packet-widest" runs the same simulator with congestion control off
-/// as the ungated waterfilling baseline. The auditor/injector wiring
-/// mirrors the flow branch.
+/// as the ungated waterfilling baseline.
 sim::Metrics run_packet_trial(const TrialSpec& spec, const graph::Graph& g,
+                              std::vector<core::Amount> capacity,
                               const workload::Trace& trace,
                               sim::InvariantAuditor* auditor,
                               faults::FaultInjector* injector) {
-  sim::PacketSimConfig cfg;
+  sim::PacketSimConfig cfg = schemes::packet_scheme_config(spec.scheme);
   cfg.end_time = spec.end_time;
   cfg.mtu = core::from_units(spec.mtu_units);
-  if (spec.scheme == "spider-cc") {
-    cfg.cc_mode = sim::CongestionControlMode::kSpiderCc;
-    // Scheme-level window defaults, tuned on the fig-6 grid (see
-    // EXPERIMENTS.md). They are wider than the legacy failure-window
-    // mode's config defaults because per-launch HTLC timeouts make
-    // window overshoot recoverable: a too-aggressive launch refunds its
-    // locks and retries instead of gridlocking the network.
-    cfg.cc_initial_window = 32.0;
-    cfg.cc_max_window = 512.0;
-    cfg.cc_alpha = 4.0;
-  }
   if (spec.cc_initial_window > 0) cfg.cc_initial_window = spec.cc_initial_window;
   if (spec.cc_max_window > 0) cfg.cc_max_window = spec.cc_max_window;
   if (spec.cc_alpha > 0) cfg.cc_alpha = spec.cc_alpha;
@@ -101,22 +114,8 @@ sim::Metrics run_packet_trial(const TrialSpec& spec, const graph::Graph& g,
   cfg.series_bucket = spec.series_bucket;
   cfg.auditor = auditor;
   cfg.faults = injector;
-  sim::PacketSimulator ps(
-      g,
-      std::vector<core::Amount>(g.edge_count(),
-                                core::from_units(spec.capacity_units)),
-      cfg);
-  for (const workload::Transaction& tx : trace) {
-    core::PaymentRequest req;
-    req.src = tx.src;
-    req.dst = tx.dst;
-    req.amount = tx.amount;
-    req.arrival = tx.arrival;
-    if (spec.deadline_offset > 0) {
-      req.deadline = tx.arrival + spec.deadline_offset;
-    }
-    ps.submit(req);
-  }
+  sim::PacketSimulator ps(g, std::move(capacity), cfg);
+  for (const core::PaymentRequest& req : trace) ps.submit(req);
   return ps.run();
 }
 
@@ -132,73 +131,32 @@ TrialResult run_trial(const TrialSpec& spec) {
                                       spec.workload_seed)
           : workload::isp_workload(spec.txns, spec.end_time,
                                    spec.workload_seed);
-  const workload::Trace trace = workload::generate_trace(g, wc);
-
-  if (schemes::packet_backed_scheme(spec.scheme)) {
-    sim::InvariantAuditor auditor;
-    faults::FaultInjector injector;
-    faults::FaultInjector* inj = nullptr;
-    if (!spec.faults.empty()) {
-      faults::FaultProfile profile = faults::parse_profile(spec.faults);
-      if (profile.horizon <= 0) profile.horizon = spec.end_time;
-      injector = faults::FaultInjector(faults::generate_plan(profile, g));
-      inj = &injector;
+  workload::Trace trace = workload::generate_trace(g, wc);
+  if (spec.deadline_offset > 0) {
+    for (core::PaymentRequest& req : trace) {
+      req.deadline = req.arrival + spec.deadline_offset;
     }
-    TrialResult r;
-    r.spec = spec;
-    r.metrics = run_packet_trial(spec, g, trace,
-                                 spec.audit ? &auditor : nullptr, inj);
-    if (spec.audit && !auditor.ok()) {
-      throw std::runtime_error("trial " + spec.scheme + "/" + spec.topology +
-                               " failed invariant audit: " +
-                               auditor.summary());
-    }
-    r.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return r;
   }
 
-  const fluid::PaymentGraph demand =
-      workload::estimate_demand(g.node_count(), trace, spec.end_time);
-
-  const auto scheme = schemes::make_scheme(spec.scheme);
   sim::InvariantAuditor auditor;
-  sim::FlowSimConfig cfg;
-  cfg.end_time = spec.end_time;
-  cfg.delta = spec.delta;
-  cfg.max_retries_per_poll = spec.max_retries_per_poll;
-  cfg.retry_policy = spec.retry_policy;
-  cfg.collect_series = spec.collect_series;
-  cfg.series_bucket = spec.series_bucket;
-  if (spec.audit) cfg.auditor = &auditor;
   faults::FaultInjector injector;
+  faults::FaultInjector* inj = nullptr;
   if (!spec.faults.empty()) {
     faults::FaultProfile profile = faults::parse_profile(spec.faults);
     if (profile.horizon <= 0) profile.horizon = spec.end_time;
     injector = faults::FaultInjector(faults::generate_plan(profile, g));
-    cfg.faults = &injector;
+    inj = &injector;
   }
-  sim::FlowSimulator fs(
-      g,
-      std::vector<core::Amount>(g.edge_count(),
-                                core::from_units(spec.capacity_units)),
-      *scheme, cfg);
-  for (const workload::Transaction& tx : trace) {
-    core::PaymentRequest req;
-    req.src = tx.src;
-    req.dst = tx.dst;
-    req.amount = tx.amount;
-    req.arrival = tx.arrival;
-    if (spec.deadline_offset > 0) {
-      req.deadline = tx.arrival + spec.deadline_offset;
-    }
-    fs.add_payment(req);
-  }
+  std::vector<core::Amount> capacity(g.edge_count(),
+                                     core::from_units(spec.capacity_units));
+  const auto run = schemes::packet_backed_scheme(spec.scheme)
+                       ? &run_packet_trial
+                       : &run_flow_trial;
 
   TrialResult r;
   r.spec = spec;
-  r.metrics = fs.run(demand);
+  r.metrics = run(spec, g, std::move(capacity), trace,
+                  spec.audit ? &auditor : nullptr, inj);
   if (spec.audit && !auditor.ok()) {
     throw std::runtime_error("trial " + spec.scheme + "/" + spec.topology +
                              " failed invariant audit: " + auditor.summary());
@@ -226,29 +184,14 @@ std::vector<TrialSpec> make_trials(const SweepConfig& cfg) {
     for (const double cap : cfg.capacities_units) {
       for (std::size_t s = 0; s < cfg.seeds; ++s) {
         for (const std::string& scheme : schemes) {
-          TrialSpec t;
+          TrialSpec t = cfg.base;
           t.scheme = scheme;
           t.topology = topology;
           t.workload =
               topology.rfind("ripple", 0) == 0 ? "ripple" : "isp";
           t.seed_index = s;
           t.workload_seed = derive_seed(cfg.base_seed, s);
-          t.txns = cfg.txns;
-          t.end_time = cfg.end_time;
           t.capacity_units = cap;
-          t.delta = cfg.delta;
-          t.max_retries_per_poll = cfg.max_retries_per_poll;
-          t.deadline_offset = cfg.deadline_offset;
-          t.mtu_units = cfg.mtu_units;
-          t.cc_initial_window = cfg.cc_initial_window;
-          t.cc_max_window = cfg.cc_max_window;
-          t.cc_alpha = cfg.cc_alpha;
-          t.cc_beta = cfg.cc_beta;
-          t.cc_mark_threshold = cfg.cc_mark_threshold;
-          t.collect_series = cfg.collect_series;
-          t.series_bucket = cfg.series_bucket;
-          t.audit = cfg.audit;
-          t.faults = cfg.faults;
           trials.push_back(std::move(t));
         }
       }

@@ -102,27 +102,10 @@ struct SweepConfig {
   std::vector<double> capacities_units = {3000.0};
   std::size_t seeds = 1;
   std::uint64_t base_seed = 1;
-  std::size_t txns = 10000;
-  double end_time = 200.0;
-  double delta = 0.5;
-  std::size_t max_retries_per_poll = 2000;
-  /// Per-payment deadline offset (TrialSpec::deadline_offset).
-  double deadline_offset = 0.0;
-  /// Unit MTU for packet-backed trials (TrialSpec::mtu_units).
-  double mtu_units = 10.0;
-  /// Spider-cc knob overrides (TrialSpec fields of the same names;
-  /// 0 = keep the PacketSimConfig default).
-  double cc_initial_window = 0.0;
-  double cc_max_window = 0.0;
-  double cc_alpha = 0.0;
-  double cc_beta = 0.0;
-  double cc_mark_threshold = 0.0;
-  bool collect_series = false;
-  double series_bucket = 5.0;
-  /// Audit every trial (TrialSpec::audit).
-  bool audit = false;
-  /// Fault profile spec applied to every trial (TrialSpec::faults).
-  std::string faults;
+  /// Every trial starts as a copy of `base`; make_trials then sets the
+  /// per-cell fields (scheme, topology, workload, seed_index,
+  /// workload_seed, capacity_units).
+  TrialSpec base;
 };
 
 [[nodiscard]] std::vector<TrialSpec> make_trials(const SweepConfig& cfg);

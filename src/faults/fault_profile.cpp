@@ -1,40 +1,23 @@
 #include "faults/fault_profile.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <random>
 #include <stdexcept>
 #include <vector>
+
+#include "core/parse.hpp"
 
 namespace spider::faults {
 
 namespace {
 
-/// Shortest-round-trip double formatting (same contract as the exp
-/// report writer): parsing the result recovers the exact bit pattern.
-std::string format_double(double d) {
-  char buf[40];
-  const auto res = std::to_chars(buf, buf + sizeof buf, d);
-  return std::string(buf, res.ptr);
-}
-
 double parse_double(const std::string& key, const std::string& val) {
-  double d = 0;
-  const auto res = std::from_chars(val.data(), val.data() + val.size(), d);
-  if (res.ec != std::errc() || res.ptr != val.data() + val.size()) {
-    throw std::invalid_argument("parse_profile: bad value for " + key + ": " +
-                                val);
-  }
-  return d;
+  return core::require_number<double>(val,
+                                      "parse_profile: bad value for " + key);
 }
 
 std::uint64_t parse_seed(const std::string& val) {
-  std::uint64_t s = 0;
-  const auto res = std::from_chars(val.data(), val.data() + val.size(), s);
-  if (res.ec != std::errc() || res.ptr != val.data() + val.size()) {
-    throw std::invalid_argument("parse_profile: bad seed: " + val);
-  }
-  return s;
+  return core::require_number<std::uint64_t>(val, "parse_profile: bad seed");
 }
 
 /// One Poisson process of fault starts: exponential inter-arrival gaps
@@ -196,22 +179,22 @@ FaultProfile parse_profile(const std::string& spec) {
 
 std::string to_string(const FaultProfile& p) {
   std::string out = "seed=" + std::to_string(p.seed);
-  out += ",horizon=" + format_double(p.horizon);
-  out += ",churn=" + format_double(p.node_churn_rate);
-  out += ",downtime=" + format_double(p.mean_downtime);
-  out += ",close=" + format_double(p.channel_close_rate);
-  out += ",withhold=" + format_double(p.withhold_rate);
-  out += ",hold=" + format_double(p.mean_withhold);
-  out += ",stale=" + format_double(p.stale_rate);
-  out += ",staledur=" + format_double(p.mean_stale);
-  out += ",jam=" + format_double(p.jam_rate);
-  out += ",jamhold=" + format_double(p.mean_jam);
-  out += ",jamfrac=" + format_double(p.jam_frac);
-  out += ",grief=" + format_double(p.grief_rate);
-  out += ",griefhold=" + format_double(p.mean_grief);
+  out += ",horizon=" + core::format_double(p.horizon);
+  out += ",churn=" + core::format_double(p.node_churn_rate);
+  out += ",downtime=" + core::format_double(p.mean_downtime);
+  out += ",close=" + core::format_double(p.channel_close_rate);
+  out += ",withhold=" + core::format_double(p.withhold_rate);
+  out += ",hold=" + core::format_double(p.mean_withhold);
+  out += ",stale=" + core::format_double(p.stale_rate);
+  out += ",staledur=" + core::format_double(p.mean_stale);
+  out += ",jam=" + core::format_double(p.jam_rate);
+  out += ",jamhold=" + core::format_double(p.mean_jam);
+  out += ",jamfrac=" + core::format_double(p.jam_frac);
+  out += ",grief=" + core::format_double(p.grief_rate);
+  out += ",griefhold=" + core::format_double(p.mean_grief);
   out += ",griefhubs=" + std::to_string(p.grief_hubs);
-  out += ",huboutage=" + format_double(p.hub_outage_rate);
-  out += ",hubdown=" + format_double(p.mean_hub_down);
+  out += ",huboutage=" + core::format_double(p.hub_outage_rate);
+  out += ",hubdown=" + core::format_double(p.mean_hub_down);
   out += ",hubs=" + std::to_string(p.hubs);
   return out;
 }

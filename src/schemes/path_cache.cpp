@@ -30,15 +30,4 @@ const std::vector<graph::Path>& PathCache::paths(graph::NodeId src,
   return cache_.emplace(key, std::move(result)).first->second;
 }
 
-void PathCache::warm(const graph::PathTable& table) {
-  if (graph_ == nullptr) {
-    throw std::logic_error("PathCache: not bound to a graph");
-  }
-  for (const auto& [src, dst] : table.pairs()) {
-    const auto span = table.find(src, dst);
-    cache_.emplace(std::make_pair(src, dst),
-                   std::vector<graph::Path>(span.begin(), span.end()));
-  }
-}
-
 }  // namespace spider::schemes

@@ -5,16 +5,13 @@
 //
 // The cache answers misses through a reusable PathFinder over the bound
 // graph, so a cold sweep over a 3774-node Ripple topology does not pay
-// per-query scratch allocation. The graph must outlive the cache. A
-// precomputed graph::PathTable (exp/path_precompute) can pre-seed the
-// cache via warm().
+// per-query scratch allocation. The graph must outlive the cache.
 
 #include <map>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/path_table.hpp"
 #include "graph/paths.hpp"
 
 namespace spider::schemes {
@@ -33,13 +30,6 @@ class PathCache {
 
   /// Paths for (src, dst), computed on first use and cached.
   const std::vector<graph::Path>& paths(graph::NodeId src, graph::NodeId dst);
-
-  /// Seeds the cache from a precomputed table (sharded precompute,
-  /// exp/path_precompute.hpp). Only pairs the table covers are copied;
-  /// other pairs still compute lazily. The table's paths must have been
-  /// built with the same mode/k to keep results identical to lazy
-  /// computation -- callers own that contract.
-  void warm(const graph::PathTable& table);
 
   [[nodiscard]] std::size_t cached_pairs() const { return cache_.size(); }
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "schemes/path_cache.hpp"
+#include "sim/packet_sim.hpp"
 #include "sim/scheme.hpp"
 
 namespace spider::schemes {
@@ -281,5 +282,16 @@ class SpeedyMurmursScheme final : public RoutingScheme {
 /// -- it exists so sweeps and benches can compare spider-cc against
 /// its own substrate's baseline on paired traces.
 [[nodiscard]] bool packet_backed_scheme(const std::string& name);
+
+/// The PacketSimConfig defaults of a packet-backed scheme: congestion
+/// control off for "packet-widest"; for "spider-cc", cc_mode kSpiderCc
+/// with the scheme-level windows (initial 32, max 512, alpha 4) tuned
+/// on the fig-6 grid (EXPERIMENTS.md). They are wider than the config
+/// defaults because per-launch HTLC timeouts make window overshoot
+/// recoverable: a too-aggressive launch refunds its locks and retries
+/// instead of gridlocking the network. Throws std::invalid_argument on
+/// any other name.
+[[nodiscard]] sim::PacketSimConfig packet_scheme_config(
+    const std::string& name);
 
 }  // namespace spider::schemes

@@ -6,6 +6,8 @@
 
 #include "schemes/schemes.hpp"
 
+#include <stdexcept>
+
 namespace spider::schemes {
 
 void SpiderCcScheme::prepare(const graph::Graph& g,
@@ -27,6 +29,19 @@ std::vector<RouteChoice> SpiderCcScheme::route(
 
 bool packet_backed_scheme(const std::string& name) {
   return name == "spider-cc" || name == "packet-widest";
+}
+
+sim::PacketSimConfig packet_scheme_config(const std::string& name) {
+  sim::PacketSimConfig cfg;
+  if (name == "spider-cc") {
+    cfg.cc_mode = sim::CongestionControlMode::kSpiderCc;
+    cfg.cc_initial_window = 32.0;
+    cfg.cc_max_window = 512.0;
+    cfg.cc_alpha = 4.0;
+  } else if (name != "packet-widest") {
+    throw std::invalid_argument("unknown packet-backed scheme " + name);
+  }
+  return cfg;
 }
 
 }  // namespace spider::schemes

@@ -7,6 +7,7 @@
 
 #include "exp/sweep.hpp"
 #include "faults/fault_profile.hpp"
+#include "schemes/schemes.hpp"
 
 namespace spider::service {
 
@@ -15,21 +16,12 @@ namespace {
 sim::PacketSimConfig make_sim_config(const ServiceConfig& cfg,
                                      sim::InvariantAuditor* auditor,
                                      faults::FaultInjector* injector) {
-  sim::PacketSimConfig sc;
+  sim::PacketSimConfig sc = schemes::packet_scheme_config(cfg.scheme);
   sc.end_time = cfg.duration;
   sc.mtu = core::from_units(cfg.mtu_units);
   sc.seed = cfg.seed;
   sc.auditor = auditor;
   sc.faults = injector;
-  if (cfg.scheme == "spider-cc") {
-    // Same scheme-level window defaults as exp::run_packet_trial.
-    sc.cc_mode = sim::CongestionControlMode::kSpiderCc;
-    sc.cc_initial_window = 32.0;
-    sc.cc_max_window = 512.0;
-    sc.cc_alpha = 4.0;
-  } else if (cfg.scheme != "packet-widest") {
-    throw std::invalid_argument("Service: unknown scheme " + cfg.scheme);
-  }
   return sc;
 }
 
@@ -64,15 +56,9 @@ Service::Service(ServiceConfig cfg)
 
 std::optional<core::PaymentRequest> Service::pull_arrival(void* ctx) {
   auto* self = static_cast<Service*>(ctx);
-  const std::optional<workload::Transaction> tx = self->stream_->next();
-  if (!tx.has_value()) return std::nullopt;
-  core::PaymentRequest req;
-  req.src = tx->src;
-  req.dst = tx->dst;
-  req.amount = tx->amount;
-  req.arrival = tx->arrival;
-  if (self->cfg_.deadline_offset > 0) {
-    req.deadline = tx->arrival + self->cfg_.deadline_offset;
+  std::optional<core::PaymentRequest> req = self->stream_->next();
+  if (req.has_value() && self->cfg_.deadline_offset > 0) {
+    req->deadline = req->arrival + self->cfg_.deadline_offset;
   }
   return req;
 }

@@ -104,8 +104,8 @@ class EventQueue {
     post_hook_ctx_ = ctx;
   }
 
-  /// Schedules an event at absolute time `t` (must be >= now(),
-  /// throws std::invalid_argument otherwise). Zero allocation.
+  /// Schedules an event at absolute time `t` (must be >= now(), so not
+  /// NaN; throws std::invalid_argument otherwise). Zero allocation.
   void schedule_typed(TimePoint t, EventKind kind, std::uint64_t a = 0,
                       std::uint64_t b = 0) {
     schedule_typed_reserved(t, kind, next_seq_++, a, b);

@@ -8,6 +8,7 @@
 
 #include "faults/injector.hpp"
 #include "sim/audit.hpp"
+#include "sim/sim_steps.hpp"
 
 namespace spider::sim {
 
@@ -38,10 +39,7 @@ FlowSimulator::FlowSimulator(const graph::Graph& g,
 
 void FlowSimulator::add_payment(const PaymentRequest& req) {
   if (ran_) throw std::logic_error("FlowSimulator: add_payment after run");
-  if (req.src >= graph_.node_count() || req.dst >= graph_.node_count() ||
-      req.src == req.dst || req.amount <= 0) {
-    throw std::invalid_argument("FlowSimulator: malformed payment request");
-  }
+  check_request(req, graph_.node_count());
   // Positional init would silently convert a bool into the Amount
   // `fees_paid` slot if the member order ever changed.
   payments_.push_back(PaymentState{.req = req});
@@ -382,7 +380,7 @@ void FlowSimulator::apply_fault(std::size_t index) {
       break;
     case faults::FaultKind::kProbeStale:
       ++metrics_.fault_stale_spells;
-      if (ap.became_active) make_stale_snapshot();
+      if (ap.became_active) stale_net_ = stale_snapshot(net_);
       break;
     case faults::FaultKind::kJam:
       // Capacity jamming is an HTLC-slot attack; the fluid model has no
@@ -427,26 +425,9 @@ void FlowSimulator::fault_backoff(PaymentState& st) {
   if (st.backoff_exp < 16) ++st.backoff_exp;
 }
 
-void FlowSimulator::make_stale_snapshot() {
-  // Freeze per-side (spendable + pending) as the deposits of a shadow
-  // network; pending funds return to their offerer's side on
-  // settle-or-fail, so each side's frozen view is what a just-stale
-  // probe would have reported. Each edge's escrow is positive, so the
-  // Channel precondition (at least one positive side) always holds.
-  std::vector<std::pair<core::Amount, core::Amount>> deposits;
-  deposits.reserve(graph_.edge_count());
-  for (graph::EdgeId e = 0; e < graph_.edge_count(); ++e) {
-    const core::Channel& ch = net_.channel(e);
-    deposits.emplace_back(ch.balance(core::Side::kA) + ch.pending(core::Side::kA),
-                          ch.balance(core::Side::kB) + ch.pending(core::Side::kB));
-  }
-  stale_net_ = std::make_unique<core::ChannelNetwork>(graph_, deposits);
-}
-
 void FlowSimulator::arm_auditor() {
   InvariantAuditor& a = *cfg_.auditor;
-  a.attach_network(net_);
-  a.set_claimed_holds_provider([this] { return held_amount_; });
+  attach_auditor(a, net_, held_amount_, events_);
   a.add_check("retry-queue", [this]() -> std::optional<std::string> {
     std::size_t enqueued = 0;
     for (const PaymentState& st : payments_) {
@@ -458,11 +439,6 @@ void FlowSimulator::arm_auditor() {
        << retry_queue_.size();
     return os.str();
   });
-  events_.set_post_event_hook(
-      [](void* ctx, TimePoint now, std::uint64_t processed) {
-        static_cast<InvariantAuditor*>(ctx)->on_event(now, processed);
-      },
-      &a);
 }
 
 Metrics FlowSimulator::run(const fluid::PaymentGraph& demand_estimate) {
@@ -471,16 +447,7 @@ Metrics FlowSimulator::run(const fluid::PaymentGraph& demand_estimate) {
   if (cfg_.auditor != nullptr) arm_auditor();
   events_.set_dispatcher(&FlowSimulator::dispatch, this);
   if (faults_ != nullptr) {
-    // One kFaultStart event per plan entry, scheduled up front. An empty
-    // plan schedules nothing, so the event sequence -- and therefore
-    // every metric bit -- matches a simulator built without the
-    // injector.
-    faults_->bind(graph_);
-    const std::vector<faults::FaultEvent>& plan = faults_->plan().events();
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      if (plan[i].time > cfg_.end_time) continue;
-      events_.schedule_typed(plan[i].time, EventKind::kFaultStart, i);
-    }
+    schedule_fault_plan(*faults_, graph_, cfg_.end_time, events_);
   }
   scheme_.prepare(graph_, capacity_, demand_estimate, cfg_.delta);
   metrics_.series_bucket = cfg_.series_bucket;
@@ -507,14 +474,7 @@ Metrics FlowSimulator::run(const fluid::PaymentGraph& demand_estimate) {
 
   for (const PaymentState& st : payments_) {
     if (st.req.arrival > cfg_.end_time) continue;
-    if (st.delivered == st.req.amount) {
-      ++metrics_.succeeded;
-      metrics_.completed_volume += st.req.amount;
-    } else if (st.delivered > 0) {
-      ++metrics_.partial;
-    } else {
-      ++metrics_.failed;
-    }
+    record_outcome(metrics_, st.req.amount, st.delivered);
   }
   return metrics_;
 }

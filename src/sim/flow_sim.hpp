@@ -160,8 +160,6 @@ class FlowSimulator {
   void close_channel(graph::EdgeId e);
   /// Applies exponential backoff after a fault-blocked attempt.
   void fault_backoff(PaymentState& st);
-  /// Freezes the channel-state view schemes route against.
-  void make_stale_snapshot();
   void rebalance_sweep();
   /// A rebalancing deposit confirms on-chain: `amount` becomes
   /// spendable on `side` of edge `e`.
@@ -169,8 +167,8 @@ class FlowSimulator {
   void enqueue_retry(core::PaymentId pid);
   void record_series(core::Amount amount);
   void sample_series();
-  /// Registers the auditor's network binding and the flow-sim specific
-  /// retry-queue consistency check.
+  /// Arms the auditor (sim_steps.hpp attach_auditor) plus the flow-sim
+  /// specific retry-queue consistency check.
   void arm_auditor();
 
   const graph::Graph& graph_;

@@ -8,6 +8,7 @@
 
 #include "faults/injector.hpp"
 #include "sim/audit.hpp"
+#include "sim/sim_steps.hpp"
 
 namespace spider::sim {
 
@@ -103,10 +104,7 @@ void PacketSimulator::dispatch(void* ctx, EventKind kind, std::uint64_t a,
 
 core::PaymentId PacketSimulator::submit(const core::PaymentRequest& req) {
   if (ran_) throw std::logic_error("PacketSimulator: submit after run");
-  if (req.src >= graph_.node_count() || req.dst >= graph_.node_count() ||
-      req.src == req.dst || req.amount <= 0) {
-    throw std::invalid_argument("PacketSimulator: malformed request");
-  }
+  check_request(req, graph_.node_count());
   requests_.push_back(req);
   return requests_.size() - 1;
 }
@@ -680,7 +678,7 @@ void PacketSimulator::apply_fault(std::size_t index) {
       break;
     case faults::FaultKind::kProbeStale:
       ++metrics_.fault_stale_spells;
-      if (ap.became_active) make_stale_snapshot();
+      if (ap.became_active) stale_net_ = stale_snapshot(net_);
       break;
     case faults::FaultKind::kJam:
       ++metrics_.fault_jam_spells;
@@ -832,22 +830,6 @@ void PacketSimulator::fault_kill_unit(core::SlabHandle h) {
   fail_unit(st->unit.id);
 }
 
-void PacketSimulator::make_stale_snapshot() {
-  // Freeze the availability signal as per-side (spendable + pending):
-  // the funds each side will command once in-flight holds resolve.
-  // Summed per edge this equals the escrow total (> 0), satisfying the
-  // Channel deposit contract even when one side is fully drained.
-  std::vector<std::pair<core::Amount, core::Amount>> deposits;
-  deposits.reserve(graph_.edge_count());
-  for (graph::EdgeId e = 0; e < graph_.edge_count(); ++e) {
-    const core::Channel& ch = net_.channel(e);
-    deposits.emplace_back(
-        ch.balance(core::Side::kA) + ch.pending(core::Side::kA),
-        ch.balance(core::Side::kB) + ch.pending(core::Side::kB));
-  }
-  stale_net_ = std::make_unique<core::ChannelNetwork>(graph_, deposits);
-}
-
 void PacketSimulator::sample_series() {
   metrics_.queue_depth_series.push_back(
       static_cast<double>(queued_units()));
@@ -862,13 +844,8 @@ void PacketSimulator::sample_series() {
 
 void PacketSimulator::arm_auditor() {
   InvariantAuditor& a = *cfg_.auditor;
-  a.attach_network(net_);
-  a.set_claimed_holds_provider([this] { return held_amount_; });
+  attach_auditor(a, net_, held_amount_, events_);
   a.add_check("queue-counters", [this] { return audit_queue_counters(); });
-  const auto hook = [](void* ctx, TimePoint now, std::uint64_t processed) {
-    static_cast<InvariantAuditor*>(ctx)->on_event(now, processed);
-  };
-  events_.set_post_event_hook(hook, &a);
 }
 
 std::optional<std::string> PacketSimulator::audit_queue_counters() const {
@@ -906,15 +883,7 @@ std::optional<std::string> PacketSimulator::audit_queue_counters() const {
 void PacketSimulator::begin_run() {
   if (cfg_.auditor != nullptr) arm_auditor();
   if (faults_ != nullptr) {
-    // One typed event per plan entry, scheduled up front. An empty plan
-    // schedules nothing, so the event sequence -- and therefore every
-    // metric bit -- matches a simulator built without the injector.
-    faults_->bind(graph_);
-    const std::vector<faults::FaultEvent>& plan = faults_->plan().events();
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      if (plan[i].time > cfg_.end_time) continue;
-      events_.schedule_typed(plan[i].time, EventKind::kFaultStart, i);
-    }
+    schedule_fault_plan(*faults_, graph_, cfg_.end_time, events_);
   }
 }
 
@@ -960,16 +929,7 @@ Metrics PacketSimulator::run() {
   for (core::PaymentId pid = 0; pid < requests_.size(); ++pid) {
     const core::PaymentRequest& req = requests_[pid];
     if (req.arrival > cfg_.end_time) continue;
-    const core::Amount delivered =
-        transports_[req.src]->delivered(pid);
-    if (delivered == req.amount) {
-      ++metrics_.succeeded;
-      metrics_.completed_volume += req.amount;
-    } else if (delivered > 0) {
-      ++metrics_.partial;
-    } else {
-      ++metrics_.failed;
-    }
+    record_outcome(metrics_, req.amount, transports_[req.src]->delivered(pid));
   }
   return metrics_;
 }
@@ -1017,13 +977,7 @@ core::PaymentId PacketSimulator::stream_submit(const core::PaymentRequest& req) 
   if (!service_) {
     throw std::logic_error("PacketSimulator: stream_submit outside service");
   }
-  if (req.src >= graph_.node_count() || req.dst >= graph_.node_count() ||
-      req.src == req.dst) {
-    throw std::invalid_argument("PacketSimulator: bad streamed endpoints");
-  }
-  if (req.amount <= 0) {
-    throw std::invalid_argument("PacketSimulator: bad streamed amount");
-  }
+  check_request(req, graph_.node_count());
   if (req.arrival < now()) {
     throw std::invalid_argument(
         "PacketSimulator: streamed arrivals must be non-decreasing");
@@ -1053,15 +1007,7 @@ void PacketSimulator::classify_payment(core::PaymentId pid) {
   if (classified_[pid] != 0) return;
   classified_[pid] = 1;
   const core::PaymentRequest& req = requests_[pid];
-  const core::Amount delivered = transports_[req.src]->delivered(pid);
-  if (delivered == req.amount) {
-    ++metrics_.succeeded;
-    metrics_.completed_volume += req.amount;
-  } else if (delivered > 0) {
-    ++metrics_.partial;
-  } else {
-    ++metrics_.failed;
-  }
+  record_outcome(metrics_, req.amount, transports_[req.src]->delivered(pid));
 }
 
 std::size_t PacketSimulator::retire_resolved() {

@@ -377,10 +377,8 @@ class PacketSimulator {
   /// spell's own kFaultEnd and a mid-spell channel close both route
   /// here.
   void release_jam(std::size_t batch_index);
-  /// Freezes the widest-path availability signal for a staleness spike.
-  void make_stale_snapshot();
-  /// Registers the auditor's network binding and the packet-sim
-  /// specific checks (router queue counters vs running totals).
+  /// Arms the auditor (sim_steps.hpp attach_auditor) plus the packet-sim
+  /// specific check (router queue counters vs running totals).
   void arm_auditor();
   /// Recounts every router queue and compares against the O(1) running
   /// counters; returns a diagnosis on mismatch.

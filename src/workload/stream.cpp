@@ -1,9 +1,10 @@
 #include "workload/stream.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
+
+#include "core/parse.hpp"
 
 namespace spider::workload {
 
@@ -17,29 +18,9 @@ constexpr std::uint64_t kPairSalt = 0xc2b2ae3d27d4eb4full;
 constexpr std::uint64_t kSizeSalt = 0x165667b19e3779f9ull;
 constexpr std::uint64_t kBurstSalt = 0x27d4eb2f165667c5ull;
 
-std::string format_double(double d) {
-  char buf[40];
-  const auto res = std::to_chars(buf, buf + sizeof buf, d);
-  return std::string(buf, res.ptr);
-}
-
 double parse_double(const std::string& key, const std::string& val) {
-  double d = 0;
-  const auto res = std::from_chars(val.data(), val.data() + val.size(), d);
-  if (res.ec != std::errc() || res.ptr != val.data() + val.size()) {
-    throw std::invalid_argument("parse_stream_spec: bad value for " + key +
-                                ": " + val);
-  }
-  return d;
-}
-
-std::uint64_t parse_seed(const std::string& val) {
-  std::uint64_t s = 0;
-  const auto res = std::from_chars(val.data(), val.data() + val.size(), s);
-  if (res.ec != std::errc() || res.ptr != val.data() + val.size()) {
-    throw std::invalid_argument("parse_stream_spec: bad seed: " + val);
-  }
-  return s;
+  return core::require_number<double>(
+      val, "parse_stream_spec: bad value for " + key);
 }
 
 /// Synthetic generator: a (possibly time-varying) Poisson arrival
@@ -70,9 +51,9 @@ class SyntheticStream final : public StreamGenerator {
   }
 
  protected:
-  [[nodiscard]] std::optional<Transaction> do_next() override {
+  [[nodiscard]] std::optional<core::PaymentRequest> do_next() override {
     advance_time();
-    Transaction tx;
+    core::PaymentRequest tx;
     tx.arrival = t_;
     tx.src = sample_sender();
     do {
@@ -202,7 +183,7 @@ class TraceStream final : public StreamGenerator {
   }
 
  protected:
-  [[nodiscard]] std::optional<Transaction> do_next() override {
+  [[nodiscard]] std::optional<core::PaymentRequest> do_next() override {
     if (cursor_ >= trace_.size()) return std::nullopt;
     return trace_[cursor_++];
   }
@@ -280,7 +261,8 @@ StreamConfig parse_stream_spec(const std::string& spec) {
         throw std::invalid_argument("parse_stream_spec: bad sender " + val);
       }
     } else if (key == "seed") {
-      cfg.seed = parse_seed(val);
+      cfg.seed = core::require_number<std::uint64_t>(
+          val, "parse_stream_spec: bad seed");
     } else if (key == "amp") {
       cfg.amplitude = parse_double(key, val);
     } else if (key == "period") {
@@ -309,21 +291,21 @@ std::string to_string(const StreamConfig& cfg) {
     out += ";path=" + cfg.trace_path;
     return out;
   }
-  out += ";rate=" + format_double(cfg.rate);
-  out += ";mean=" + format_double(cfg.mean_size);
-  out += ";max=" + format_double(cfg.max_size);
-  out += ";sigma=" + format_double(cfg.sigma);
-  out += ";skew=" + format_double(cfg.sender_skew);
+  out += ";rate=" + core::format_double(cfg.rate);
+  out += ";mean=" + core::format_double(cfg.mean_size);
+  out += ";max=" + core::format_double(cfg.max_size);
+  out += ";sigma=" + core::format_double(cfg.sigma);
+  out += ";skew=" + core::format_double(cfg.sender_skew);
   out += ";sender=";
   out += cfg.sender == SenderDistribution::kUniform ? "uni" : "exp";
   out += ";seed=" + std::to_string(cfg.seed);
   if (cfg.kind == StreamKind::kDiurnal) {
-    out += ";amp=" + format_double(cfg.amplitude);
-    out += ";period=" + format_double(cfg.period);
+    out += ";amp=" + core::format_double(cfg.amplitude);
+    out += ";period=" + core::format_double(cfg.period);
   } else if (cfg.kind == StreamKind::kFlash) {
-    out += ";boost=" + format_double(cfg.burst_boost);
-    out += ";every=" + format_double(cfg.burst_every);
-    out += ";blen=" + format_double(cfg.burst_len);
+    out += ";boost=" + core::format_double(cfg.burst_boost);
+    out += ";every=" + core::format_double(cfg.burst_every);
+    out += ";blen=" + core::format_double(cfg.burst_len);
   }
   return out;
 }

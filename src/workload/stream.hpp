@@ -83,8 +83,8 @@ class StreamGenerator {
   /// The next transaction, or nullopt once the stream is exhausted
   /// (synthetic streams never are; trace streams end at the trace).
   /// Arrival times are non-decreasing across calls.
-  [[nodiscard]] std::optional<Transaction> next() {
-    std::optional<Transaction> tx = do_next();
+  [[nodiscard]] std::optional<core::PaymentRequest> next() {
+    std::optional<core::PaymentRequest> tx = do_next();
     if (tx.has_value()) ++emitted_;
     return tx;
   }
@@ -105,7 +105,7 @@ class StreamGenerator {
   [[nodiscard]] virtual std::string spec() const = 0;
 
  protected:
-  [[nodiscard]] virtual std::optional<Transaction> do_next() = 0;
+  [[nodiscard]] virtual std::optional<core::PaymentRequest> do_next() = 0;
 
  private:
   std::uint64_t emitted_ = 0;

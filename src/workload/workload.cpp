@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <random>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "core/parse.hpp"
+#include "graph/graphio.hpp"
 
 namespace spider::workload {
 
@@ -72,7 +76,7 @@ Trace generate_trace(const graph::Graph& g, const WorkloadConfig& cfg) {
   Trace trace;
   trace.reserve(cfg.count);
   for (std::size_t i = 0; i < cfg.count; ++i) {
-    Transaction tx;
+    core::PaymentRequest tx;
     tx.src = sample_sender();
     do {
       tx.dst = static_cast<NodeId>(uni_node(rng));
@@ -83,7 +87,7 @@ Trace generate_trace(const graph::Graph& g, const WorkloadConfig& cfg) {
     trace.push_back(tx);
   }
   std::sort(trace.begin(), trace.end(),
-            [](const Transaction& a, const Transaction& b) {
+            [](const core::PaymentRequest& a, const core::PaymentRequest& b) {
               if (a.arrival != b.arrival) return a.arrival < b.arrival;
               return std::tie(a.src, a.dst, a.amount) <
                      std::tie(b.src, b.dst, b.amount);
@@ -97,7 +101,7 @@ fluid::PaymentGraph estimate_demand(std::size_t node_count, const Trace& trace,
     throw std::invalid_argument("estimate_demand: duration must be > 0");
   }
   fluid::PaymentGraph demand(node_count);
-  for (const Transaction& tx : trace) {
+  for (const core::PaymentRequest& tx : trace) {
     demand.add_demand(tx.src, tx.dst, core::to_units(tx.amount) / duration);
   }
   return demand;
@@ -106,7 +110,7 @@ fluid::PaymentGraph estimate_demand(std::size_t node_count, const Trace& trace,
 TraceStats trace_stats(const Trace& trace) {
   TraceStats st;
   st.count = trace.size();
-  for (const Transaction& tx : trace) {
+  for (const core::PaymentRequest& tx : trace) {
     const double units = core::to_units(tx.amount);
     st.total_volume += units;
     st.max_size = std::max(st.max_size, units);
@@ -121,7 +125,7 @@ void write_trace_csv(std::ostream& os, const Trace& trace) {
   // Arrival times must survive the round trip bit-exactly.
   os.precision(17);
   os << "src,dst,amount_milli,arrival\n";
-  for (const Transaction& tx : trace) {
+  for (const core::PaymentRequest& tx : trace) {
     os << tx.src << ',' << tx.dst << ',' << tx.amount << ',' << tx.arrival
        << '\n';
   }
@@ -135,25 +139,34 @@ Trace read_trace_csv(std::istream& is) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
     if (line_no == 1 && line.rfind("src,", 0) == 0) continue;
-    std::istringstream ss(line);
-    std::string f[4];
-    for (int i = 0; i < 4; ++i) {
-      if (!std::getline(ss, f[i], ',')) {
-        throw std::runtime_error("read_trace_csv: malformed line " +
-                                 std::to_string(line_no));
-      }
+    const auto bad = [line_no](const char* what) {
+      return std::runtime_error("read_trace_csv: " + std::string(what) +
+                                " on line " + std::to_string(line_no));
+    };
+    // Three commas split four fields; the last runs to the line end,
+    // so a fifth field fails the arrival parse.
+    std::string_view f[4];
+    std::string_view rest = line;
+    for (int i = 0; i < 3; ++i) {
+      const std::size_t comma = rest.find(',');
+      if (comma == std::string_view::npos) throw bad("malformed line");
+      f[i] = rest.substr(0, comma);
+      rest.remove_prefix(comma + 1);
     }
-    try {
-      Transaction tx;
-      tx.src = static_cast<NodeId>(std::stoul(f[0]));
-      tx.dst = static_cast<NodeId>(std::stoul(f[1]));
-      tx.amount = std::stoll(f[2]);
-      tx.arrival = std::stod(f[3]);
-      trace.push_back(tx);
-    } catch (const std::exception&) {
-      throw std::runtime_error("read_trace_csv: bad field on line " +
-                               std::to_string(line_no));
-    }
+    f[3] = rest;
+    const std::optional<NodeId> src = graph::parse_node_id(f[0]);
+    const std::optional<NodeId> dst = graph::parse_node_id(f[1]);
+    const std::optional<Amount> amount = core::parse_number<Amount>(f[2]);
+    const std::optional<double> arrival = core::parse_number<double>(f[3]);
+    if (!src || !dst || !amount || !arrival) throw bad("bad field");
+    if (*amount <= 0) throw bad("non-positive amount");
+    if (!std::isfinite(*arrival) || *arrival < 0) throw bad("bad arrival");
+    core::PaymentRequest tx;
+    tx.src = *src;
+    tx.dst = *dst;
+    tx.amount = *amount;
+    tx.arrival = *arrival;
+    trace.push_back(tx);
   }
   return trace;
 }

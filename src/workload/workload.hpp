@@ -24,17 +24,14 @@ using core::Amount;
 using core::TimePoint;
 using graph::NodeId;
 
-/// One trace record.
-struct Transaction {
-  NodeId src;
-  NodeId dst;
-  Amount amount;
-  TimePoint arrival;
+/// One trace record is a payment request with no deadline and no fee
+/// cap (core::PaymentRequest defaults); drivers that want deadlines set
+/// `deadline` on the records they submit.
+using Trace = std::vector<core::PaymentRequest>;
 
-  friend bool operator==(const Transaction&, const Transaction&) = default;
-};
-
-using Trace = std::vector<Transaction>;
+/// The record's older name, kept for the end-to-end benchmark sources,
+/// which spell it. Nothing else uses it.
+using Transaction = core::PaymentRequest;
 
 enum class SenderDistribution : std::uint8_t {
   kExponential,  // paper default: few heavy senders
@@ -81,7 +78,11 @@ struct TraceStats {
 };
 [[nodiscard]] TraceStats trace_stats(const Trace& trace);
 
-/// CSV round-trip: "src,dst,amount_milli,arrival" rows with a header.
+/// CSV round-trip: "src,dst,amount_milli,arrival" rows with a header
+/// (deadline, fee cap and kind are not stored). The reader parses each
+/// field whole -- node ids as graph::parse_node_id, the amount as a
+/// decimal integer > 0, the arrival as a finite number >= 0 -- and
+/// throws std::runtime_error naming the line otherwise.
 void write_trace_csv(std::ostream& os, const Trace& trace);
 [[nodiscard]] Trace read_trace_csv(std::istream& is);
 void save_trace_csv(const std::string& path, const Trace& trace);

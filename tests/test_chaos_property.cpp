@@ -258,14 +258,8 @@ TEST(ChaosPacket, CcTimeoutExpiryReleasesEachHoldExactlyOnce) {
 
 std::optional<core::PaymentRequest> pull_stream(void* ctx) {
   auto* stream = static_cast<workload::StreamGenerator*>(ctx);
-  const std::optional<workload::Transaction> tx = stream->next();
-  if (!tx.has_value()) return std::nullopt;
-  core::PaymentRequest req;
-  req.src = tx->src;
-  req.dst = tx->dst;
-  req.amount = tx->amount;
-  req.arrival = tx->arrival;
-  req.deadline = tx->arrival + 8.0;
+  std::optional<core::PaymentRequest> req = stream->next();
+  if (req.has_value()) req->deadline = req->arrival + 8.0;
   return req;
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -86,6 +87,20 @@ TEST(EventQueue, EventsCanScheduleEvents) {
 TEST(EventQueue, PastSchedulingThrows) {
   EventQueue q;
   EXPECT_THROW(q.schedule_typed_in(-1.0, EventKind::kPoll),
+               std::invalid_argument);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueue, NaNTimeThrows) {
+  // NaN compares false to everything, so a `t < now` guard let it in
+  // and the heap order was then undefined.
+  EventQueue q;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(q.schedule_typed(nan, EventKind::kPoll), std::invalid_argument);
+  EXPECT_THROW(q.schedule_typed_in(nan, EventKind::kPoll),
+               std::invalid_argument);
+  const std::uint64_t seq = q.reserve_seqs(1);
+  EXPECT_THROW(q.schedule_typed_reserved(nan, EventKind::kPoll, seq),
                std::invalid_argument);
   EXPECT_EQ(q.pending(), 0u);
 }

@@ -33,10 +33,10 @@ std::vector<exp::TrialSpec> small_grid() {
   cfg.capacities_units = {150.0};
   cfg.seeds = 2;
   cfg.base_seed = 11;
-  cfg.txns = 150;
-  cfg.end_time = 20.0;
-  cfg.collect_series = true;
-  cfg.series_bucket = 5.0;
+  cfg.base.txns = 150;
+  cfg.base.end_time = 20.0;
+  cfg.base.collect_series = true;
+  cfg.base.series_bucket = 5.0;
   return exp::make_trials(cfg);
 }
 
@@ -332,8 +332,8 @@ TEST(Sweep, PacketBackedTrialsAreThreadCountDeterministic) {
   cfg.capacities_units = {150.0};
   cfg.seeds = 2;
   cfg.base_seed = 19;
-  cfg.txns = 200;
-  cfg.end_time = 20.0;
+  cfg.base.txns = 200;
+  cfg.base.end_time = 20.0;
   const std::vector<exp::TrialSpec> trials = exp::make_trials(cfg);
   const std::vector<exp::TrialResult> a =
       exp::run_trials(trials, exp::Runner(1));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "graph/topology.hpp"
 #include "schemes/schemes.hpp"
 
@@ -182,6 +184,8 @@ TEST(FlowSim, ApiMisuseThrows) {
                std::invalid_argument);
   EXPECT_THROW(sim.add_payment(payment(0, 9, 10, 1.0)),
                std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(sim.add_payment(payment(0, 1, 10, nan)), std::invalid_argument);
   (void)sim.run(no_demand(2));
   EXPECT_THROW((void)sim.run(no_demand(2)), std::logic_error);
   EXPECT_THROW(sim.add_payment(payment(0, 1, 10, 1.0)), std::logic_error);

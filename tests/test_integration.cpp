@@ -36,14 +36,7 @@ RunResult run_scheme(const std::string& name, const graph::Graph& g,
   sim::FlowSimulator fs(
       g, std::vector<Amount>(g.edge_count(), from_units(cap_units)), *scheme,
       cfg);
-  for (const workload::Transaction& tx : trace) {
-    core::PaymentRequest req;
-    req.src = tx.src;
-    req.dst = tx.dst;
-    req.amount = tx.amount;
-    req.arrival = tx.arrival;
-    fs.add_payment(req);
-  }
+  for (const core::PaymentRequest& req : trace) fs.add_payment(req);
   RunResult r;
   r.metrics = fs.run(demand);
   r.conserved = fs.network().conserves_funds();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -159,6 +160,12 @@ TEST(PacketSim, ApiMisuseThrows) {
   PacketSimulator sim(g, std::vector<Amount>{from_units(100)}, {});
   EXPECT_THROW(sim.submit(payment(0, 0, 10, 1.0, PaymentKind::kNonAtomic)),
                std::invalid_argument);
+  // A NaN arrival would make run()'s arrival sort undefined behaviour.
+  for (const double t : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(sim.submit(payment(0, 1, 10, t, PaymentKind::kNonAtomic)),
+                 std::invalid_argument);
+  }
   (void)sim.run();
   EXPECT_THROW((void)sim.run(), std::logic_error);
   PacketSimConfig bad;

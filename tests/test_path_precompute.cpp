@@ -1,8 +1,8 @@
 // Sharded path precomputation: deterministic chunking, table contents
 // identical to lazy per-pair computation, and byte-identical results at
 // any thread count (the DESIGN.md §7 contract extended to setup work).
-// Also covers the PathTable container and its consumers (PacketSimulator
-// cfg.paths, PathCache::warm) plus the topology-name 'k' suffix fix.
+// Also covers the PathTable container and its consumer (PacketSimulator
+// cfg.paths) plus the topology-name 'k' suffix fix.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "exp/sweep.hpp"
 #include "graph/paths.hpp"
 #include "graph/topology.hpp"
-#include "schemes/path_cache.hpp"
 #include "sim/packet_sim.hpp"
 #include "workload/workload.hpp"
 
@@ -81,20 +80,6 @@ TEST(PrecomputePaths, MatchesLazyEdgeDisjoint) {
   }
 }
 
-TEST(PrecomputePaths, YenKindMatchesLazyYen) {
-  const Graph g = graph::topology::make_isp32();
-  auto plan = exp::PathPrecomputePlan::make({{0, 20}, {5, 9}}, 1, 1);
-  const exp::Runner runner(1);
-  const PathTable table =
-      exp::precompute_paths(g, plan, 3, runner, exp::PathKind::kYen);
-  for (const auto& [s, t] : plan.pairs) {
-    const auto got = table.find(s, t);
-    const auto want = graph::yen_k_shortest_paths(g, s, t, 3);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]);
-  }
-}
-
 TEST(PrecomputePaths, ByteIdenticalAtAnyThreadCount) {
   const Graph g = graph::topology::make_ripple_like(200, 13);
   auto plan = exp::PathPrecomputePlan::make(cross_pairs(200, 17), 8, 3);
@@ -148,7 +133,9 @@ TEST(PacketSim, PrecomputedTableIsByteIdenticalToLazy) {
   const workload::Trace trace = workload::generate_trace(g, wc);
 
   std::vector<PathTable::Pair> pairs;
-  for (const workload::Transaction& tx : trace) pairs.emplace_back(tx.src, tx.dst);
+  for (const core::PaymentRequest& tx : trace) {
+    pairs.emplace_back(tx.src, tx.dst);
+  }
   auto plan = exp::PathPrecomputePlan::make(std::move(pairs), 16, 1);
   const PathTable table =
       exp::precompute_paths(g, plan, 4, exp::Runner(2));
@@ -161,14 +148,7 @@ TEST(PacketSim, PrecomputedTableIsByteIdenticalToLazy) {
     sim::PacketSimulator ps(
         g, std::vector<core::Amount>(g.edge_count(), core::from_units(500.0)),
         cfg);
-    for (const workload::Transaction& tx : trace) {
-      core::PaymentRequest req;
-      req.src = tx.src;
-      req.dst = tx.dst;
-      req.amount = tx.amount;
-      req.arrival = tx.arrival;
-      ps.submit(req);
-    }
+    for (const core::PaymentRequest& req : trace) ps.submit(req);
     return ps.run();
   };
   const sim::Metrics lazy = run(nullptr);
@@ -176,23 +156,6 @@ TEST(PacketSim, PrecomputedTableIsByteIdenticalToLazy) {
   EXPECT_EQ(exp::report::metrics_to_json(lazy).dump(),
             exp::report::metrics_to_json(warmed).dump());
   EXPECT_GT(lazy.succeeded, 0u);
-}
-
-TEST(PathCacheWarm, WarmedPairsMatchLazyComputation) {
-  const Graph g = graph::topology::make_isp32();
-  auto plan = exp::PathPrecomputePlan::make(cross_pairs(32, 5), 4, 1);
-  const PathTable table =
-      exp::precompute_paths(g, plan, 4, exp::Runner(2));
-
-  schemes::PathCache cold(&g, schemes::PathMode::kEdgeDisjoint, 4);
-  schemes::PathCache warm(&g, schemes::PathMode::kEdgeDisjoint, 4);
-  warm.warm(table);
-  EXPECT_EQ(warm.cached_pairs(), table.pair_count());
-  for (const auto& [s, t] : plan.pairs) {
-    EXPECT_EQ(warm.paths(s, t), cold.paths(s, t)) << s << "->" << t;
-  }
-  // Uncovered pairs still compute lazily after warming.
-  EXPECT_EQ(warm.paths(1, 2), cold.paths(1, 2));
 }
 
 TEST(NamedTopology, KSuffixMultipliesByThousand) {

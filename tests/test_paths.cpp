@@ -341,7 +341,9 @@ TEST(BfsExactness, Ripple3774TraceAtK4MatchesForwardOracle) {
       workload::generate_trace(g, workload::ripple_workload(6000, 60.0, 1));
   ASSERT_EQ(trace.size(), 6000u);
   std::set<std::pair<NodeId, NodeId>> pairs;
-  for (const workload::Transaction& tx : trace) pairs.emplace(tx.src, tx.dst);
+  for (const core::PaymentRequest& tx : trace) {
+    pairs.emplace(tx.src, tx.dst);
+  }
   PathFinder finder;
   for (const auto& [s, t] : pairs) {
     ASSERT_EQ(finder.edge_disjoint(g, s, t, 4),

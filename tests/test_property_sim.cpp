@@ -32,14 +32,7 @@ sim::Metrics run_flow(const graph::Graph& g, const workload::Trace& trace,
   cfg.end_time = 30.0;
   sim::FlowSimulator fs(
       g, std::vector<Amount>(g.edge_count(), from_units(500)), scheme, cfg);
-  for (const workload::Transaction& tx : trace) {
-    core::PaymentRequest req;
-    req.src = tx.src;
-    req.dst = tx.dst;
-    req.amount = tx.amount;
-    req.arrival = tx.arrival;
-    fs.add_payment(req);
-  }
+  for (const core::PaymentRequest& req : trace) fs.add_payment(req);
   sim::Metrics m = fs.run(fluid::PaymentGraph(g.node_count()));
   EXPECT_TRUE(fs.network().conserves_funds());
   EXPECT_EQ(fs.network().total_funds(),
@@ -83,13 +76,8 @@ TEST_P(TopologySweepTest, PacketSimConservesEverywhere) {
   cfg.mtu = from_units(5);
   sim::PacketSimulator ps(
       g, std::vector<Amount>(g.edge_count(), from_units(300)), cfg);
-  for (const workload::Transaction& tx : trace) {
-    core::PaymentRequest req;
-    req.src = tx.src;
-    req.dst = tx.dst;
-    req.amount = tx.amount;
-    req.arrival = tx.arrival;
-    req.deadline = tx.arrival + 10.0;
+  for (core::PaymentRequest req : trace) {
+    req.deadline = req.arrival + 10.0;
     ps.submit(req);
   }
   const sim::Metrics m = ps.run();

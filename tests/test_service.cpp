@@ -467,6 +467,15 @@ std::optional<core::PaymentRequest> no_arrivals(void*) {
   return std::nullopt;
 }
 
+std::optional<core::PaymentRequest> nan_arrival(void*) {
+  core::PaymentRequest req;
+  req.src = 0;
+  req.dst = 2;
+  req.amount = core::from_units(5);
+  req.arrival = std::numeric_limits<double>::quiet_NaN();
+  return req;
+}
+
 TEST(PacketSimService, ApiGuards) {
   const graph::Graph g = graph::topology::make_ring(6);
   const std::vector<core::Amount> caps(g.edge_count(), core::from_units(50));
@@ -497,6 +506,12 @@ TEST(PacketSimService, ApiGuards) {
     const sim::Metrics& m = sim.finish_service();
     EXPECT_EQ(m.attempted, 0u);
     EXPECT_EQ(&sim.finish_service(), &m);  // idempotent
+  }
+  {
+    // A streamed NaN arrival is rejected at admission (the first pull).
+    sim::PacketSimulator sim(g, caps);
+    EXPECT_THROW(sim.start_service(&nan_arrival, nullptr),
+                 std::invalid_argument);
   }
 }
 

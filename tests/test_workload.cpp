@@ -16,7 +16,7 @@ TEST(Workload, GeneratesRequestedCountSortedByArrival) {
   for (std::size_t i = 1; i < t.size(); ++i) {
     EXPECT_LE(t[i - 1].arrival, t[i].arrival);
   }
-  for (const Transaction& tx : t) {
+  for (const core::PaymentRequest& tx : t) {
     EXPECT_NE(tx.src, tx.dst);
     EXPECT_LT(tx.src, 32u);
     EXPECT_LT(tx.dst, 32u);
@@ -52,7 +52,7 @@ TEST(Workload, ExponentialSendersAreSkewed) {
   const graph::Graph g = graph::topology::make_isp32();
   const Trace t = generate_trace(g, isp_workload(20000, 100.0, 4));
   std::vector<std::size_t> counts(32, 0);
-  for (const Transaction& tx : t) ++counts[tx.src];
+  for (const core::PaymentRequest& tx : t) ++counts[tx.src];
   // Low-index nodes send much more than high-index nodes.
   const std::size_t head = counts[0] + counts[1] + counts[2] + counts[3];
   const std::size_t tail = counts[28] + counts[29] + counts[30] + counts[31];
@@ -65,7 +65,7 @@ TEST(Workload, UniformSendersAreFlat) {
   cfg.sender = SenderDistribution::kUniform;
   const Trace t = generate_trace(g, cfg);
   std::vector<std::size_t> counts(32, 0);
-  for (const Transaction& tx : t) ++counts[tx.src];
+  for (const core::PaymentRequest& tx : t) ++counts[tx.src];
   for (const std::size_t c : counts) {
     EXPECT_GT(c, 400u);  // ~625 expected per node
     EXPECT_LT(c, 900u);
@@ -107,6 +107,31 @@ TEST(Workload, CsvRejectsGarbage) {
   EXPECT_THROW((void)read_trace_csv(bad), std::runtime_error);
   std::istringstream short_row("1,2\n");
   EXPECT_THROW((void)read_trace_csv(short_row), std::runtime_error);
+}
+
+TEST(Workload, CsvParsesEachFieldWhole) {
+  // Each row used to load: a numeric prefix was taken ("12abc" -> 12,
+  // "1500.9" -> 1500), "-1" wrapped to node 4294967295, and a NaN,
+  // infinite or negative arrival or a non-positive amount passed.
+  for (const char* row :
+       {"0,12abc,1500.9,nan", "3,-1,5,2.0", "0,1,1500.9,2.0", "0,1,-7,2.0",
+        "0,1,0,2.0", "0,1,5,inf", "0,1,5,nan", "0,1,5,-1", "0,1,5,2.0x",
+        " 0,1,5,2.0", "0,1,5,2.0,9", "0,4294967295,5,2.0"}) {
+    std::istringstream in(std::string("src,dst,amount_milli,arrival\n") +
+                          "0,1,5,2.0\n" + row + "\n");
+    try {
+      (void)read_trace_csv(in);
+      ADD_FAILURE() << row << " loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+  std::istringstream good("src,dst,amount_milli,arrival\n3,4,5,0\n");
+  const Trace t = read_trace_csv(good);
+  ASSERT_EQ(t.size(), 1u);
+  EXPECT_EQ(t[0].dst, 4u);
+  EXPECT_EQ(t[0].amount, 5);
 }
 
 TEST(Workload, BadConfigThrows) {
