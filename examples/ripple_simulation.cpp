@@ -5,26 +5,32 @@
 // Build & run:  ./build/examples/ripple_simulation [nodes] [transactions]
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
+#include <stdexcept>
 
+#include "core/parse.hpp"
 #include "graph/topology.hpp"
 #include "schemes/schemes.hpp"
 #include "sim/flow_sim.hpp"
 #include "workload/workload.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace spider;
   using core::from_units;
 
-  const std::size_t nodes =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 150;
-  const std::size_t txns =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 4000;
+  const std::optional<std::size_t> nodes =
+      argc > 1 ? core::parse_number<std::size_t>(argv[1]) : 150;
+  const std::optional<std::size_t> txns =
+      argc > 2 ? core::parse_number<std::size_t>(argv[2]) : 4000;
+  if (!nodes || !txns) {
+    std::fprintf(stderr, "usage: %s [nodes] [transactions]\n", argv[0]);
+    return 2;
+  }
   const double horizon = 85.0;  // paper: Ripple results collected at 85 s
 
-  const graph::Graph g = graph::topology::make_ripple_like(nodes, 1);
+  const graph::Graph g = graph::topology::make_ripple_like(*nodes, 1);
   const workload::Trace trace =
-      workload::generate_trace(g, workload::ripple_workload(txns, horizon, 2));
+      workload::generate_trace(g, workload::ripple_workload(*txns, horizon, 2));
   const fluid::PaymentGraph demand =
       workload::estimate_demand(g.node_count(), trace, horizon);
   const workload::TraceStats stats = workload::trace_stats(trace);
@@ -58,4 +64,8 @@ int main(int argc, char** argv) {
       " max-flow lead; SpeedyMurmurs/SilentWhispers trail; Spider-LP's\n"
       " volume tracks the circulation share of the demand.)\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  // An out-of-range size (e.g. fewer nodes than the topology needs).
+  std::fprintf(stderr, "ripple_simulation: %s\n", e.what());
+  return 2;
 }

@@ -49,14 +49,14 @@ void EventHeap::sift_down(std::size_t i) {
   heap_[i] = ev;
 }
 
-void EventQueue::schedule_typed_reserved(TimePoint t, EventKind kind,
-                                         std::uint64_t seq, std::uint64_t a,
-                                         std::uint64_t b) {
+void EventQueue::schedule_typed(TimePoint t, EventKind kind, std::uint64_t a,
+                                std::uint64_t b) {
   if (!(t >= now_)) {  // NaN compares false, so it is rejected too
     throw std::invalid_argument(
         "EventQueue::schedule: time in the past or NaN");
   }
-  heap_.push(SimEvent{t, (seq << 8) | static_cast<std::uint64_t>(kind), a, b});
+  heap_.push(SimEvent{t, (next_seq_++ << 8) | static_cast<std::uint64_t>(kind),
+                      a, b});
 }
 
 bool EventQueue::run_next() {

@@ -107,31 +107,13 @@ class EventQueue {
   /// Schedules an event at absolute time `t` (must be >= now(), so not
   /// NaN; throws std::invalid_argument otherwise). Zero allocation.
   void schedule_typed(TimePoint t, EventKind kind, std::uint64_t a = 0,
-                      std::uint64_t b = 0) {
-    schedule_typed_reserved(t, kind, next_seq_++, a, b);
-  }
+                      std::uint64_t b = 0);
 
   /// Schedules an event after a relative delay.
   void schedule_typed_in(TimePoint delay, EventKind kind, std::uint64_t a = 0,
                          std::uint64_t b = 0) {
     schedule_typed(now_ + delay, kind, a, b);
   }
-
-  /// Pre-allocates `count` consecutive sequence numbers and returns the
-  /// first. Lets a caller with a statically known event list (e.g. all
-  /// payment arrivals) chain-schedule events one at a time -- keeping
-  /// the heap small -- while preserving the exact (time, seq) order the
-  /// events would have had if all were scheduled up front.
-  std::uint64_t reserve_seqs(std::uint64_t count) {
-    const std::uint64_t first = next_seq_;
-    next_seq_ += count;
-    return first;
-  }
-
-  /// Schedules an event under a sequence number obtained from
-  /// reserve_seqs (same t >= now() contract as schedule_typed).
-  void schedule_typed_reserved(TimePoint t, EventKind kind, std::uint64_t seq,
-                               std::uint64_t a = 0, std::uint64_t b = 0);
 
   /// Pops and runs the earliest event, advancing the clock.
   /// Returns false when no events remain.

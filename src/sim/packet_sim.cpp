@@ -60,23 +60,11 @@ void PacketSimulator::dispatch(void* ctx, EventKind kind, std::uint64_t a,
   auto* self = static_cast<PacketSimulator*>(ctx);
   switch (kind) {
     case EventKind::kArrival:
-      if (self->service_) {
-        // Pull-driven chaining: fetch the stream's next transaction
-        // before admitting this one. The pull point is a pure function
-        // of the event sequence, so run_service_until() chunk
-        // boundaries cannot perturb sequence assignment.
-        self->pull_next_arrival();
-        self->arrive(static_cast<core::PaymentId>(a));
-        break;
-      }
-      // Chain the next arrival into the heap (reserved seq keeps the
-      // global order identical to scheduling them all up front).
-      ++self->next_arrival_;
-      if (self->next_arrival_ < self->arrivals_.size()) {
-        const PendingArrival& next = self->arrivals_[self->next_arrival_];
-        self->events_.schedule_typed_reserved(next.time, EventKind::kArrival,
-                                              next.seq, next.pid);
-      }
+      // Pull-driven chaining: fetch the next transaction before
+      // admitting this one. The pull point is a pure function of the
+      // event sequence, so run_service_until() chunk boundaries cannot
+      // perturb sequence assignment.
+      self->pull_next_arrival();
       self->arrive(static_cast<core::PaymentId>(a));
       break;
     case EventKind::kHopAdvance:
@@ -105,6 +93,10 @@ void PacketSimulator::dispatch(void* ctx, EventKind kind, std::uint64_t a,
 core::PaymentId PacketSimulator::submit(const core::PaymentRequest& req) {
   if (ran_) throw std::logic_error("PacketSimulator: submit after run");
   check_request(req, graph_.node_count());
+  if (!requests_.empty() && req.arrival < requests_.back().arrival) {
+    throw std::invalid_argument(
+        "PacketSimulator: submitted arrivals must be non-decreasing");
+  }
   requests_.push_back(req);
   return requests_.size() - 1;
 }
@@ -880,58 +872,30 @@ std::optional<std::string> PacketSimulator::audit_queue_counters() const {
   return std::nullopt;
 }
 
-void PacketSimulator::begin_run() {
-  if (cfg_.auditor != nullptr) arm_auditor();
-  if (faults_ != nullptr) {
-    schedule_fault_plan(*faults_, graph_, cfg_.end_time, events_);
-  }
-}
+namespace {
+/// Simulated seconds between the retire_resolved() calls of run().
+constexpr TimePoint kRetireInterval = 5.0;
+}  // namespace
 
 Metrics PacketSimulator::run() {
   if (ran_) throw std::logic_error("PacketSimulator: run called twice");
-  ran_ = true;
-  begin_run();
-  payment_units_.resize(requests_.size());
-  for (core::PaymentId pid = 0; pid < requests_.size(); ++pid) {
-    const core::PaymentRequest& req = requests_[pid];
-    if (req.arrival > cfg_.end_time) continue;
-    ++metrics_.attempted;
-    metrics_.attempted_volume += req.amount;
-    arrivals_.push_back(PendingArrival{req.arrival, 0, pid});
+  // The source walks requests_ in submission order: stream_submit finds
+  // each request already stored under its id (the admission count).
+  start(
+      [](void* ctx) -> std::optional<core::PaymentRequest> {
+        const auto& self = *static_cast<const PacketSimulator*>(ctx);
+        if (self.metrics_.attempted == self.requests_.size()) {
+          return std::nullopt;
+        }
+        return self.requests_[self.metrics_.attempted];
+      },
+      this);
+  for (TimePoint t = kRetireInterval; t < cfg_.end_time;
+       t += kRetireInterval) {
+    run_service_until(t);
+    retire_resolved();
   }
-  // Sequence numbers in submission (pid) order, exactly as a loop of
-  // schedule_typed calls would have assigned them; then sort by fire
-  // order and keep just the head in the heap.
-  const std::uint64_t seq0 = events_.reserve_seqs(arrivals_.size());
-  for (std::size_t i = 0; i < arrivals_.size(); ++i) {
-    arrivals_[i].seq = seq0 + i;
-  }
-  std::sort(arrivals_.begin(), arrivals_.end(),
-            [](const PendingArrival& x, const PendingArrival& y) {
-              if (x.time != y.time) return x.time < y.time;
-              return x.seq < y.seq;
-            });
-  if (!arrivals_.empty()) {
-    events_.schedule_typed_reserved(arrivals_[0].time, EventKind::kArrival,
-                                    arrivals_[0].seq, arrivals_[0].pid);
-  }
-  events_.schedule_typed(cfg_.expiry_sweep_interval, EventKind::kExpirySweep);
-  if (cfg_.collect_series) {
-    metrics_.series_bucket = cfg_.series_bucket;
-    metrics_.channel_imbalance_series.assign(graph_.edge_count(), {});
-    events_.schedule_typed(cfg_.series_bucket, EventKind::kSeriesSample);
-  }
-  events_.run_until(cfg_.end_time);
-  if (cfg_.auditor != nullptr) {
-    cfg_.auditor->finish(now(), events_processed());
-  }
-
-  for (core::PaymentId pid = 0; pid < requests_.size(); ++pid) {
-    const core::PaymentRequest& req = requests_[pid];
-    if (req.arrival > cfg_.end_time) continue;
-    record_outcome(metrics_, req.amount, transports_[req.src]->delivered(pid));
-  }
-  return metrics_;
+  return finish_service();
 }
 
 // --- service mode (DESIGN.md §13) ------------------------------------
@@ -947,11 +911,17 @@ void PacketSimulator::start_service(ArrivalSource source, void* ctx) {
   if (source == nullptr) {
     throw std::invalid_argument("PacketSimulator: null arrival source");
   }
+  start(source, ctx);
+}
+
+void PacketSimulator::start(ArrivalSource source, void* ctx) {
   ran_ = true;
-  service_ = true;
   arrival_source_ = source;
   arrival_ctx_ = ctx;
-  begin_run();
+  if (cfg_.auditor != nullptr) arm_auditor();
+  if (faults_ != nullptr) {
+    schedule_fault_plan(*faults_, graph_, cfg_.end_time, events_);
+  }
   events_.schedule_typed(cfg_.expiry_sweep_interval, EventKind::kExpirySweep);
   if (cfg_.collect_series) {
     metrics_.series_bucket = cfg_.series_bucket;
@@ -973,30 +943,24 @@ void PacketSimulator::pull_next_arrival() {
   stream_submit(*req);
 }
 
-core::PaymentId PacketSimulator::stream_submit(const core::PaymentRequest& req) {
-  if (!service_) {
-    throw std::logic_error("PacketSimulator: stream_submit outside service");
-  }
+void PacketSimulator::stream_submit(const core::PaymentRequest& req) {
   check_request(req, graph_.node_count());
   if (req.arrival < now()) {
     throw std::invalid_argument(
         "PacketSimulator: streamed arrivals must be non-decreasing");
   }
-  requests_.push_back(req);
-  const auto pid = static_cast<core::PaymentId>(requests_.size() - 1);
+  const auto pid = static_cast<core::PaymentId>(metrics_.attempted);
+  if (pid == requests_.size()) requests_.push_back(req);
   payment_units_.emplace_back();
-  classified_.push_back(0);
   live_.push_back(pid);
   peak_live_ = std::max(peak_live_, live_.size());
-  ++txns_streamed_;
   ++metrics_.attempted;
   metrics_.attempted_volume += req.amount;
   events_.schedule_typed(req.arrival, EventKind::kArrival, pid);
-  return pid;
 }
 
 void PacketSimulator::run_service_until(TimePoint t) {
-  if (!service_) {
+  if (!ran_) {
     throw std::logic_error("PacketSimulator: run_service_until outside service");
   }
   const TimePoint stop = std::min(t, cfg_.end_time);
@@ -1004,14 +968,12 @@ void PacketSimulator::run_service_until(TimePoint t) {
 }
 
 void PacketSimulator::classify_payment(core::PaymentId pid) {
-  if (classified_[pid] != 0) return;
-  classified_[pid] = 1;
   const core::PaymentRequest& req = requests_[pid];
   record_outcome(metrics_, req.amount, transports_[req.src]->delivered(pid));
 }
 
 std::size_t PacketSimulator::retire_resolved() {
-  if (!service_) {
+  if (!ran_) {
     throw std::logic_error("PacketSimulator: retire_resolved outside service");
   }
   std::size_t retired = 0;
@@ -1029,8 +991,9 @@ std::size_t PacketSimulator::retire_resolved() {
       // resolved => every unit confirmed or abandoned, i.e. no live
       // slab entry and no queued router entry reference this payment;
       // late ack/settle events no-op via the slab generation check and
-      // the emptied handle row.
-      classify_payment(pid);
+      // the emptied handle row. finish_service() has already classified
+      // every payment still live when it ran.
+      if (!finished_service_) classify_payment(pid);
       tp.retire_payment(pid);
       std::vector<std::uint64_t>().swap(payment_units_[pid]);
       ++retired;
@@ -1043,7 +1006,7 @@ std::size_t PacketSimulator::retire_resolved() {
 }
 
 const Metrics& PacketSimulator::finish_service() {
-  if (!service_) {
+  if (!ran_) {
     throw std::logic_error("PacketSimulator: finish_service outside service");
   }
   if (finished_service_) return metrics_;
@@ -1052,8 +1015,8 @@ const Metrics& PacketSimulator::finish_service() {
   if (cfg_.auditor != nullptr) {
     cfg_.auditor->finish(now(), events_processed());
   }
-  // Classify the unresolved remainder exactly as run() classifies
-  // everything at end_time (their records stay live for inspection).
+  // Classify the unresolved remainder at end_time (their records stay
+  // live for inspection).
   for (const core::PaymentId pid : live_) classify_payment(pid);
   return metrics_;
 }
@@ -1068,7 +1031,7 @@ std::uint64_t PacketSimulator::state_checksum() const {
   };
   mix(std::bit_cast<std::uint64_t>(now()));
   mix(events_processed());
-  mix(txns_streamed_);
+  mix(txns_streamed());
   mix(metrics_.attempted);
   mix(metrics_.units_sent);
   mix(metrics_.total_attempt_rounds);

@@ -148,21 +148,26 @@ class PacketSimulator {
                   PacketSimConfig config = {});
 
   /// Registers a payment; it enters the network at `req.arrival`.
-  /// Returns the payment id. Call before run().
+  /// Arrivals must be non-decreasing across calls (throws
+  /// std::invalid_argument otherwise), so the returned payment id is
+  /// the submission index. Call before run().
   core::PaymentId submit(const core::PaymentRequest& req);
 
-  /// Runs to end_time and reports metrics.
+  /// Runs the submitted payments to end_time and reports metrics: a
+  /// service run (below) whose source walks the submissions in order,
+  /// retiring resolved payments every few simulated seconds.
   Metrics run();
 
   // --- service mode (DESIGN.md §13) --------------------------------
-  // A long-running driver pulls arrivals one at a time instead of
-  // pre-materializing a request vector: every kArrival dispatch first
-  // pulls the stream's next transaction (scheduling it as a typed
-  // event) and then admits the current one, so the pull points -- and
-  // therefore every sequence number -- are a function of the event
-  // sequence alone. run_service_until() chunking, metric-window
-  // boundaries, and snapshot points cannot perturb the event order,
-  // which is what makes replay-based snapshot/restore byte-identical.
+  // Every run pulls arrivals one at a time: each kArrival dispatch
+  // first pulls the source's next transaction (scheduling it as a
+  // typed event) and then admits the current one, so the pull points
+  // -- and therefore every sequence number -- are a function of the
+  // event sequence alone. run_service_until() chunking, metric-window
+  // boundaries, retirement and snapshot points cannot perturb the
+  // event order, which is what makes replay-based snapshot/restore
+  // byte-identical. A long-running caller calls start_service() with
+  // its own source instead of submit() + run().
 
   /// Pulls the next arrival, or nullopt when the stream is exhausted.
   /// Arrival times must be non-decreasing across calls (the stream
@@ -171,7 +176,7 @@ class PacketSimulator {
   using ArrivalSource = std::optional<core::PaymentRequest> (*)(void* ctx);
 
   /// Enters service mode: arms the auditor/fault plan/sweeps exactly as
-  /// run() would, then primes the first pull. Mutually exclusive with
+  /// run() does, then primes the first pull. Mutually exclusive with
   /// run() and submit(). `ctx` must outlive the service run.
   void start_service(ArrivalSource source, void* ctx);
 
@@ -181,7 +186,8 @@ class PacketSimulator {
 
   /// Retires every live payment whose outcome is final (all units
   /// confirmed or abandoned): classifies it into the metrics, frees its
-  /// transport record and unit-handle row. Call at deterministic points
+  /// transport record and unit-handle row (after finish_service(), which
+  /// already classified it, it only frees). Call at deterministic points
   /// only (window boundaries); returns how many were retired.
   std::size_t retire_resolved();
 
@@ -194,7 +200,9 @@ class PacketSimulator {
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
 
   /// Payments admitted so far (== the stream's consumed transactions).
-  [[nodiscard]] std::uint64_t txns_streamed() const { return txns_streamed_; }
+  [[nodiscard]] std::uint64_t txns_streamed() const {
+    return metrics_.attempted;
+  }
   /// Live (admitted, not yet retired) payments right now / at peak.
   [[nodiscard]] std::size_t live_payments() const { return live_.size(); }
   [[nodiscard]] std::size_t peak_live_payments() const { return peak_live_; }
@@ -277,17 +285,19 @@ class PacketSimulator {
   static void dispatch(void* ctx, EventKind kind, std::uint64_t a,
                        std::uint64_t b);
 
-  /// Shared run()/start_service() preamble: auditor, fault plan,
-  /// expiry sweep, series sampling.
-  void begin_run();
-  /// Admits one streamed request: allocates its payment id + unit row,
-  /// counts it attempted, and schedules its kArrival event.
-  core::PaymentId stream_submit(const core::PaymentRequest& req);
+  /// Shared run()/start_service() start: auditor, fault plan, expiry
+  /// sweep, series sampling, then the first pull from `source`.
+  void start(ArrivalSource source, void* ctx);
+  /// Admits one pulled request under the next payment id (the
+  /// admission count), storing it unless run() already did: allocates
+  /// its unit row, counts it attempted, and schedules its kArrival.
+  void stream_submit(const core::PaymentRequest& req);
   /// Pulls one transaction from the arrival source (nulling it on
   /// exhaustion or past-end arrivals) and admits it.
   void pull_next_arrival();
-  /// Final classification of payment `pid` (succeeded/partial/failed);
-  /// guarded so retire + finish never double-count.
+  /// Final classification of payment `pid` (succeeded/partial/failed).
+  /// Each payment is classified once: by the retire_resolved() call
+  /// that retires it, or by finish_service() if it is still live then.
   void classify_payment(core::PaymentId pid);
 
   /// Index of the (src, dst) PairState in pairs_, created on first
@@ -405,18 +415,6 @@ class PacketSimulator {
   std::vector<std::unique_ptr<core::Transport>> transports_;
   std::vector<core::Router> routers_;  // per node
 
-  /// Admitted arrivals sorted by (time, seq); only the next one sits in
-  /// the event heap at any moment (chained via reserved sequence
-  /// numbers, so the global event order is exactly as if all arrivals
-  /// had been scheduled up front).
-  struct PendingArrival {
-    TimePoint time;
-    std::uint64_t seq;
-    core::PaymentId pid;
-  };
-  std::vector<PendingArrival> arrivals_;
-  std::size_t next_arrival_ = 0;
-
   core::Slab<UnitState> units_;  // in-flight units
   /// payment_units_[pid][seq] = packed slab handle of that unit (0 when
   /// never launched; stale once the unit left the network).
@@ -438,20 +436,16 @@ class PacketSimulator {
   core::Amount held_amount_ = 0;
 
   Metrics metrics_;
-  bool ran_ = false;
 
   // --- service mode -------------------------------------------------
-  bool service_ = false;
+  bool ran_ = false;  // run() or start_service() was called
   bool finished_service_ = false;
   ArrivalSource arrival_source_ = nullptr;
   void* arrival_ctx_ = nullptr;
-  std::uint64_t txns_streamed_ = 0;
   /// Admitted, not-yet-retired payment ids (compacted in place by
   /// retire_resolved; order is admission order, deterministic).
   std::vector<core::PaymentId> live_;
   std::size_t peak_live_ = 0;
-  /// 1 once the payment was counted succeeded/partial/failed.
-  std::vector<std::uint8_t> classified_;
 
   /// One active jamming spell's locks. Batches append in apply order,
   /// are scanned linearly (active spell counts are small), and are

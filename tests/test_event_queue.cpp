@@ -99,9 +99,6 @@ TEST(EventQueue, NaNTimeThrows) {
   EXPECT_THROW(q.schedule_typed(nan, EventKind::kPoll), std::invalid_argument);
   EXPECT_THROW(q.schedule_typed_in(nan, EventKind::kPoll),
                std::invalid_argument);
-  const std::uint64_t seq = q.reserve_seqs(1);
-  EXPECT_THROW(q.schedule_typed_reserved(nan, EventKind::kPoll, seq),
-               std::invalid_argument);
   EXPECT_EQ(q.pending(), 0u);
 }
 
@@ -125,8 +122,8 @@ TEST(EventQueue, TypedEventsFireInTimeOrderThroughDispatcher) {
 }
 
 TEST(EventQueue, SameTimeFifoSurvivesMixedTypedAndCallbackEvents) {
-  // Every kind and every scheduling call (absolute, relative, reserved)
-  // draws from one sequence counter, so same-time events of mixed kinds
+  // Every kind and every scheduling call (absolute, relative) draws
+  // from one sequence counter, so same-time events of mixed kinds
   // fire in exact insertion order. The kinds mixed here include the ones
   // that replaced the former std::function callbacks (arrival, settle,
   // poll, rebalance sweep).
@@ -135,9 +132,8 @@ TEST(EventQueue, SameTimeFifoSurvivesMixedTypedAndCallbackEvents) {
   q.set_dispatcher(&Capture::dispatch, &cap);
   q.schedule_typed(1.0, EventKind::kPoll, 0);
   q.schedule_typed(1.0, EventKind::kArrival, 1);
-  const std::uint64_t seq = q.reserve_seqs(1);
+  q.schedule_typed(1.0, EventKind::kSettle, 2);
   q.schedule_typed(1.0, EventKind::kAck, 3);
-  q.schedule_typed_reserved(1.0, EventKind::kSettle, seq, 2);
   q.schedule_typed_in(1.0, EventKind::kExpirySweep, 4);
   q.schedule_typed(1.0, EventKind::kRebalanceSweep, 5);
   q.run_all();
@@ -157,36 +153,12 @@ TEST(EventQueue, TypedPastSchedulingThrows) {
   q.run_all();
   EXPECT_THROW(q.schedule_typed(1.0, EventKind::kArrival),
                std::invalid_argument);
-  const std::uint64_t seq = q.reserve_seqs(1);
-  EXPECT_THROW(q.schedule_typed_reserved(1.0, EventKind::kArrival, seq),
-               std::invalid_argument);
 }
 
 TEST(EventQueue, TypedEventWithoutDispatcherThrows) {
   EventQueue q;
   q.schedule_typed(1.0, EventKind::kArrival);
   EXPECT_THROW(q.run_all(), std::logic_error);
-}
-
-TEST(EventQueue, ReservedSequencesOrderLikeUpfrontScheduling) {
-  // reserve_seqs hands out the same sequence numbers a loop of
-  // schedule_typed calls would have used; pushing the events later (or
-  // out of push order) must not change the firing order.
-  EventQueue q;
-  Capture cap;
-  q.set_dispatcher(&Capture::dispatch, &cap);
-  const std::uint64_t seq0 = q.reserve_seqs(3);
-  // Push in reverse: firing order must still follow the reserved seqs.
-  q.schedule_typed_reserved(1.0, EventKind::kArrival, seq0 + 2, 2);
-  q.schedule_typed_reserved(1.0, EventKind::kArrival, seq0 + 1, 1);
-  q.schedule_typed_reserved(1.0, EventKind::kArrival, seq0, 0);
-  // A typed event scheduled after the reservation draws a later seq.
-  q.schedule_typed(1.0, EventKind::kAck, 3);
-  q.run_all();
-  EXPECT_EQ(cap.fired, (Fired{{EventKind::kArrival, 0},
-                              {EventKind::kArrival, 1},
-                              {EventKind::kArrival, 2},
-                              {EventKind::kAck, 3}}));
 }
 
 }  // namespace

@@ -160,7 +160,7 @@ TEST(PacketSim, ApiMisuseThrows) {
   PacketSimulator sim(g, std::vector<Amount>{from_units(100)}, {});
   EXPECT_THROW(sim.submit(payment(0, 0, 10, 1.0, PaymentKind::kNonAtomic)),
                std::invalid_argument);
-  // A NaN arrival would make run()'s arrival sort undefined behaviour.
+  // A NaN arrival has no place in the arrival order.
   for (const double t : {std::numeric_limits<double>::quiet_NaN(),
                          std::numeric_limits<double>::infinity()}) {
     EXPECT_THROW(sim.submit(payment(0, 1, 10, t, PaymentKind::kNonAtomic)),
@@ -173,6 +173,45 @@ TEST(PacketSim, ApiMisuseThrows) {
   EXPECT_THROW(
       PacketSimulator(g, std::vector<Amount>{from_units(100)}, bad),
       std::invalid_argument);
+}
+
+TEST(PacketSim, SubmitRejectsDecreasingArrival) {
+  // Payment ids are submission indices and arrivals fire in submission
+  // order, so an arrival earlier than the previous one is refused.
+  const graph::Graph g = graph::topology::make_line(2);
+  PacketSimulator sim(g, std::vector<Amount>{from_units(100)}, {});
+  EXPECT_EQ(sim.submit(payment(0, 1, 10, 2.0, PaymentKind::kNonAtomic)), 0u);
+  EXPECT_EQ(sim.submit(payment(1, 0, 10, 2.0, PaymentKind::kNonAtomic)), 1u);
+  EXPECT_THROW(sim.submit(payment(0, 1, 10, 1.0, PaymentKind::kNonAtomic)),
+               std::invalid_argument);
+  const Metrics m = sim.run();
+  EXPECT_EQ(m.attempted, 2u);
+}
+
+TEST(PacketSim, BatchRunRetiresResolvedPayments) {
+  // run() retires resolved payments every few simulated seconds, so
+  // with deadlines far shorter than the trace only a window of
+  // payments is ever live, and every payment is still classified once.
+  const graph::Graph g = graph::topology::make_isp32();
+  PacketSimConfig cfg;
+  cfg.end_time = 40;
+  cfg.mtu = from_units(5);
+  PacketSimulator sim(g, std::vector<Amount>(g.edge_count(), from_units(80)),
+                      cfg);
+  constexpr int kPayments = 300;
+  for (int i = 0; i < kPayments; ++i) {
+    sim.submit(payment(static_cast<core::NodeId>(i % 32),
+                       static_cast<core::NodeId>((i * 7 + 3) % 32),
+                       2.0 + (i % 13), 0.1 * i, PaymentKind::kNonAtomic,
+                       /*deadline=*/0.1 * i + 2.0));
+  }
+  const Metrics m = sim.run();
+  EXPECT_EQ(m.attempted, static_cast<std::uint64_t>(kPayments));
+  EXPECT_EQ(m.succeeded + m.partial + m.failed, m.attempted);
+  EXPECT_GT(m.succeeded, 0u);
+  EXPECT_GT(sim.peak_live_payments(), 0u);
+  EXPECT_LT(sim.peak_live_payments(), static_cast<std::size_t>(kPayments));
+  EXPECT_TRUE(sim.network().conserves_funds());
 }
 
 TEST(PacketSim, CongestionControlStillDeliversEverything) {
