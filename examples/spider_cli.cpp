@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -133,6 +134,10 @@ int main(int argc, char** argv) {
     else usage(("unknown flag " + a).c_str());
   }
 
+  if (!core::positive_finite(duration)) {
+    usage("--duration must be positive and finite");
+  }
+
   const graph::Graph g = parse_topology(topology, seed);
   const workload::WorkloadConfig wcfg =
       workload_kind == "ripple"
@@ -141,24 +146,31 @@ int main(int argc, char** argv) {
   if (workload_kind != "isp" && workload_kind != "ripple") {
     usage("unknown workload");
   }
-  const workload::Trace trace = workload::generate_trace(g, wcfg);
-  const fluid::PaymentGraph demand =
-      workload::estimate_demand(g.node_count(), trace, duration);
+  // The library validates the rest (scheme name, capacity, ...); a bad
+  // value is a usage error, not an abort.
+  sim::Metrics m;
+  try {
+    const workload::Trace trace = workload::generate_trace(g, wcfg);
+    const fluid::PaymentGraph demand =
+        workload::estimate_demand(g.node_count(), trace, duration);
 
-  const auto scheme = schemes::make_scheme(scheme_name);
-  sim::FlowSimConfig cfg;
-  cfg.end_time = duration;
-  cfg.retry_policy = policy;
-  cfg.max_retries_per_poll = 2000;
-  cfg.enable_rebalancing = rebalance;
-  cfg.fee_policy.proportional_ppm = fee_ppm;
-  cfg.collect_series = series;
-  sim::FlowSimulator fs(
-      g,
-      std::vector<core::Amount>(g.edge_count(), core::from_units(capacity)),
-      *scheme, cfg);
-  for (const core::PaymentRequest& req : trace) fs.add_payment(req);
-  const sim::Metrics m = fs.run(demand);
+    const auto scheme = schemes::make_scheme(scheme_name);
+    sim::FlowSimConfig cfg;
+    cfg.end_time = duration;
+    cfg.retry_policy = policy;
+    cfg.max_retries_per_poll = 2000;
+    cfg.enable_rebalancing = rebalance;
+    cfg.fee_policy.proportional_ppm = fee_ppm;
+    cfg.collect_series = series;
+    sim::FlowSimulator fs(
+        g,
+        std::vector<core::Amount>(g.edge_count(), core::from_units(capacity)),
+        *scheme, cfg);
+    for (const core::PaymentRequest& req : trace) fs.add_payment(req);
+    m = fs.run(demand);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
 
   std::printf("topology=%s nodes=%zu edges=%zu scheme=%s workload=%s\n",
               topology.c_str(), g.node_count(), g.edge_count(),

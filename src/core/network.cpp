@@ -77,6 +77,7 @@ std::optional<RouteLock> ChannelNetwork::lock_route_with_fees(
 
 bool ChannelNetwork::settle_route(const RouteLock& rl, Preimage key) {
   if (!unlocks(key, rl.lock)) return false;
+  ++raise_epoch_;
   for (std::size_t i = 0; i < rl.path.arcs.size(); ++i) {
     const bool ok =
         channels_[graph::edge_of(rl.path.arcs[i])].settle_htlc(rl.htlcs[i],
@@ -90,6 +91,7 @@ bool ChannelNetwork::settle_route(const RouteLock& rl, Preimage key) {
 }
 
 void ChannelNetwork::fail_route(const RouteLock& rl) {
+  ++raise_epoch_;
   for (std::size_t i = 0; i < rl.path.arcs.size(); ++i) {
     const bool ok =
         channels_[graph::edge_of(rl.path.arcs[i])].fail_htlc(rl.htlcs[i]);
@@ -98,6 +100,11 @@ void ChannelNetwork::fail_route(const RouteLock& rl) {
           "ChannelNetwork::fail_route: stale or double-failed route lock");
     }
   }
+}
+
+void ChannelNetwork::deposit(EdgeId e, Side side, Amount amount) {
+  channels_.at(e).deposit(side, amount);
+  ++raise_epoch_;
 }
 
 Amount ChannelNetwork::total_funds() const {

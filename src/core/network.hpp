@@ -4,6 +4,7 @@
 // flow-level simulator (paper §6 semantics) and the packet-level Spider
 // architecture drive this shared state.
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -43,9 +44,28 @@ class ChannelNetwork {
 
   [[nodiscard]] const Graph& graph() const { return *graph_; }
 
-  [[nodiscard]] Channel& channel(EdgeId e) { return channels_.at(e); }
+  /// Mutable channel access. The caller may settle, fail or deposit
+  /// through it, so it bumps the raise epoch.
+  [[nodiscard]] Channel& channel(EdgeId e) {
+    ++raise_epoch_;
+    return channels_.at(e);
+  }
   [[nodiscard]] const Channel& channel(EdgeId e) const {
     return channels_.at(e);
+  }
+
+  /// Raise epoch: a counter bumped by every operation that can raise
+  /// some arc's spendable balance -- settle_route, fail_route, deposit
+  /// and mutable channel() access. Locks only lower balances, so while
+  /// the epoch is unchanged a path whose bottleneck was zero is still
+  /// dry. Routing schemes memoise dry pairs on it (sim/scheme.hpp).
+  [[nodiscard]] std::uint64_t raise_epoch() const { return raise_epoch_; }
+
+  /// Moves the raise epoch forward to `epoch` (no-op when it is not
+  /// ahead). A network built as a view of another takes an epoch no
+  /// other view shows this way (sim::stale_snapshot).
+  void advance_raise_epoch(std::uint64_t epoch) {
+    if (epoch > raise_epoch_) raise_epoch_ = epoch;
   }
 
   /// Side that offers HTLCs when a unit travels along arc `a` (the side
@@ -87,6 +107,10 @@ class ChannelNetwork {
   /// Cancels every hop of a route lock, returning funds to the offerers.
   void fail_route(const RouteLock& rl);
 
+  /// On-chain top-up of edge `e`: `side` deposits `amount` new escrowed
+  /// funds (rebalancing, §5.2.3).
+  void deposit(EdgeId e, Side side, Amount amount);
+
   /// Sum of funds across all channels (constant under lock/settle/fail).
   [[nodiscard]] Amount total_funds() const;
 
@@ -101,6 +125,7 @@ class ChannelNetwork {
  private:
   const Graph* graph_;
   std::vector<Channel> channels_;
+  std::uint64_t raise_epoch_ = 0;
 };
 
 }  // namespace spider::core

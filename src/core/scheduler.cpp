@@ -85,10 +85,53 @@ std::vector<QueuedUnit> UnitQueue::drop_expired(TimePoint now) {
     std::make_heap(items_.begin(), items_.end(), later());
     // Callers act on each expired unit in turn; hand them over in the
     // order the old priority-ordered container would have yielded.
-    std::sort(expired.begin(), expired.end(), Cmp{policy_});
+    std::sort(expired.begin(), expired.end(), PolicyOrder{policy_});
   }
   min_deadline_ = min_left;
   return expired;
+}
+
+void RetryRun::push(const QueuedUnit& u) {
+  if (serving_ < batch_ && run_[serving_].unit == u.unit &&
+      !order_(u, run_[serving_]) && !order_(run_[serving_], u)) {
+    // Same place in the order: compact it into the kept prefix. kept_ <=
+    // serving_, so this never overwrites a batch item not yet served.
+    run_[kept_++] = u;
+    serving_ = kNone;
+    return;
+  }
+  pushed_.push_back(u);
+}
+
+std::span<const QueuedUnit> RetryRun::begin_poll(std::size_t budget) {
+  if (!pushed_.empty()) {
+    // Merge from the back, in place: only the run items ordered after
+    // the first pushed item move.
+    std::sort(pushed_.begin(), pushed_.end(), order_);
+    std::size_t i = run_.size();
+    std::size_t j = pushed_.size();
+    run_.resize(i + j);
+    for (std::size_t w = run_.size(); j > 0;) {
+      if (i > 0 && order_(pushed_[j - 1], run_[i - 1])) {
+        run_[--w] = run_[--i];
+      } else {
+        run_[--w] = pushed_[--j];
+      }
+    }
+    pushed_.clear();
+  }
+  batch_ = budget == 0 ? run_.size() : std::min(budget, run_.size());
+  kept_ = 0;
+  serving_ = kNone;
+  return {run_.data(), batch_};
+}
+
+void RetryRun::end_poll() {
+  run_.erase(run_.begin() + static_cast<std::ptrdiff_t>(kept_),
+             run_.begin() + static_cast<std::ptrdiff_t>(batch_));
+  batch_ = 0;
+  kept_ = 0;
+  serving_ = kNone;
 }
 
 }  // namespace spider::core

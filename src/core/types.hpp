@@ -43,6 +43,12 @@ inline constexpr Amount kAmountScale = 1000;
 using TimePoint = double;
 inline constexpr TimePoint kNever = std::numeric_limits<TimePoint>::infinity();
 
+/// True for a usable duration or horizon: positive and finite (NaN and
+/// infinity fail).
+[[nodiscard]] inline bool positive_finite(double x) {
+  return x > 0 && x < std::numeric_limits<double>::infinity();
+}
+
 /// Dense payment identifier, assigned in arrival order.
 using PaymentId = std::uint64_t;
 inline constexpr PaymentId kInvalidPayment =

@@ -21,11 +21,17 @@ void ShortestPathScheme::prepare(const graph::Graph& g,
 std::vector<RouteChoice> ShortestPathScheme::route(
     const core::PaymentRequest& req, core::Amount remaining,
     const core::ChannelNetwork& net, core::TimePoint /*now*/) {
+  PathCache::Entry& entry = cache_.entry(req.src, req.dst);
+  if (entry.dry.holds(net)) return {};
   std::vector<RouteChoice> choices;
-  for (const graph::Path& p : cache_.paths(req.src, req.dst)) {
-    const core::Amount amt = std::min(remaining, net.path_available(p));
+  bool live = false;
+  for (const graph::Path& p : entry.paths) {
+    const core::Amount avail = net.path_available(p);
+    live = live || avail > 0;
+    const core::Amount amt = std::min(remaining, avail);
     if (amt > 0) choices.push_back(RouteChoice{p, amt});
   }
+  if (!live) entry.dry.set(net);
   return choices;
 }
 
@@ -78,11 +84,19 @@ void WaterfillingScheme::prepare(const graph::Graph& g,
 std::vector<RouteChoice> WaterfillingScheme::route(
     const core::PaymentRequest& req, core::Amount remaining,
     const core::ChannelNetwork& net, core::TimePoint /*now*/) {
-  const std::vector<graph::Path>& paths = cache_.paths(req.src, req.dst);
-  if (paths.empty()) return {};
+  PathCache::Entry& entry = cache_.entry(req.src, req.dst);
+  const std::vector<graph::Path>& paths = entry.paths;
+  if (paths.empty() || entry.dry.holds(net)) return {};
   std::vector<double> caps(paths.size());
+  bool live = false;
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    caps[i] = core::to_units(net.path_available(paths[i]));
+    const core::Amount avail = net.path_available(paths[i]);
+    live = live || avail > 0;
+    caps[i] = core::to_units(avail);
+  }
+  if (!live) {  // every path dry: nothing to pour, for any amount
+    entry.dry.set(net);
+    return {};
   }
   const std::vector<double> alloc =
       routing::waterfill(caps, core::to_units(remaining));

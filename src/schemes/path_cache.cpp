@@ -4,14 +4,11 @@
 
 namespace spider::schemes {
 
-const std::vector<graph::Path>& PathCache::paths(graph::NodeId src,
-                                                 graph::NodeId dst) {
+PathCache::Entry& PathCache::entry(graph::NodeId src, graph::NodeId dst) {
   if (graph_ == nullptr) {
     throw std::logic_error("PathCache: not bound to a graph");
   }
-  const auto key = std::make_pair(src, dst);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
+  if (Entry* hit = cache_.find(src, dst)) return *hit;
 
   std::vector<graph::Path> result;
   switch (mode_) {
@@ -27,7 +24,7 @@ const std::vector<graph::Path>& PathCache::paths(graph::NodeId src,
       result = finder_.yen(*graph_, src, dst, k_);
       break;
   }
-  return cache_.emplace(key, std::move(result)).first->second;
+  return cache_.insert(src, dst, Entry{std::move(result), {}});
 }
 
 }  // namespace spider::schemes

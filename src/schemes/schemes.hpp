@@ -16,6 +16,7 @@
 // embeddings with greedy forwarding); protocol-level
 // cryptography/privacy machinery is out of evaluation scope.
 
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
@@ -29,6 +30,13 @@ namespace spider::schemes {
 
 using sim::RouteChoice;
 using sim::RoutingScheme;
+
+/// A pair's Spider (LP) path weights (summing to <= 1) and its dry mark.
+struct WeightedPaths {
+  std::vector<std::pair<graph::Path, double>> paths;
+  DryMark dry;
+};
+using WeightTable = PairTable<WeightedPaths>;
 
 /// Non-atomic single shortest path; remainder retried via global queue.
 class ShortestPathScheme final : public RoutingScheme {
@@ -135,10 +143,7 @@ class SpiderLpScheme final : public RoutingScheme {
 
  private:
   std::size_t k_;
-  /// Per pair: (path, weight) with weights summing to <= 1.
-  std::map<std::pair<graph::NodeId, graph::NodeId>,
-           std::vector<std::pair<graph::Path, double>>>
-      weights_;
+  WeightTable weights_;
 };
 
 /// Spider variant: like SpiderLpScheme but weights come from the
@@ -163,9 +168,7 @@ class SpiderPrimalDualScheme final : public RoutingScheme {
  private:
   std::size_t k_;
   std::size_t iterations_;
-  std::map<std::pair<graph::NodeId, graph::NodeId>,
-           std::vector<std::pair<graph::Path, double>>>
-      weights_;
+  WeightTable weights_;
 };
 
 /// Spider-cc (NSDI journal version, arXiv:1809.05088 §5): per-path

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "fluid/throughput.hpp"
 #include "routing/primal_dual.hpp"
@@ -57,9 +58,6 @@ FluidInstance fluid_instance(const graph::Graph& g,
   return in;
 }
 
-using WeightTable = std::map<std::pair<graph::NodeId, graph::NodeId>,
-                             std::vector<std::pair<graph::Path, double>>>;
-
 /// Normalizes per-pair path rates into weights summing to 1 (pairs with
 /// zero total rate are omitted and therefore never attempted).
 WeightTable weights_from_flows(const std::vector<fluid::PathFlow>& flows) {
@@ -71,7 +69,7 @@ WeightTable weights_from_flows(const std::vector<fluid::PathFlow>& flows) {
   for (const fluid::PathFlow& f : flows) {
     const double total = totals[{f.src, f.dst}];
     if (total <= 1e-9) continue;
-    table[{f.src, f.dst}].emplace_back(f.path, f.rate / total);
+    table(f.src, f.dst).paths.emplace_back(f.path, f.rate / total);
   }
   return table;
 }
@@ -113,27 +111,33 @@ WeightTable primal_dual_weights(const graph::Graph& g,
   return weights_from_flows(res.flows);
 }
 
-std::vector<RouteChoice> route_by_weights(const WeightTable& weights,
+std::vector<RouteChoice> route_by_weights(WeightTable& weights,
                                           const core::PaymentRequest& req,
                                           core::Amount remaining,
                                           const core::ChannelNetwork& net) {
-  const auto it = weights.find({req.src, req.dst});
-  if (it == weights.end()) return {};  // LP starved this pair: never sent
+  WeightedPaths* const found = weights.find(req.src, req.dst);
+  if (found == nullptr) return {};  // LP starved this pair: never sent
+  WeightedPaths& pair = *found;
+  if (pair.dry.holds(net)) return {};
   std::vector<RouteChoice> choices;
   core::Amount assigned = 0;
-  for (std::size_t i = 0; i < it->second.size(); ++i) {
-    const auto& [path, w] = it->second[i];
+  bool live = false;
+  for (std::size_t i = 0; i < pair.paths.size(); ++i) {
+    const auto& [path, w] = pair.paths[i];
     core::Amount amt =
-        i + 1 == it->second.size()
+        i + 1 == pair.paths.size()
             ? remaining - assigned  // last path absorbs rounding residue
             : static_cast<core::Amount>(
                   std::llround(static_cast<double>(remaining) * w));
-    amt = std::min({amt, remaining - assigned, net.path_available(path)});
+    const core::Amount avail = net.path_available(path);
+    live = live || avail > 0;
+    amt = std::min({amt, remaining - assigned, avail});
     if (amt > 0) {
       choices.push_back(RouteChoice{path, amt});
       assigned += amt;
     }
   }
+  if (!live) pair.dry.set(net);
   return choices;
 }
 
@@ -143,7 +147,7 @@ void SpiderLpScheme::prepare(const graph::Graph& g,
                              const std::vector<core::Amount>& edge_capacity,
                              const fluid::PaymentGraph& demand_estimate,
                              double delta) {
-  weights_.clear();
+  weights_ = {};
   const FluidInstance in =
       fluid_instance(g, edge_capacity, demand_estimate, k_);
   const auto& [demand, paths, caps] = in;
@@ -177,7 +181,7 @@ std::vector<RouteChoice> SpiderLpScheme::route(
 void SpiderPrimalDualScheme::prepare(
     const graph::Graph& g, const std::vector<core::Amount>& edge_capacity,
     const fluid::PaymentGraph& demand_estimate, double delta) {
-  weights_.clear();
+  weights_ = {};
   const FluidInstance in =
       fluid_instance(g, edge_capacity, demand_estimate, k_);
   if (in.demand.demand_count() == 0) return;

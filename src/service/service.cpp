@@ -29,7 +29,8 @@ sim::PacketSimConfig make_sim_config(const ServiceConfig& cfg,
 
 Service::Service(ServiceConfig cfg)
     : cfg_(std::move(cfg)), graph_(exp::make_named_topology(cfg_.topology)) {
-  if (cfg_.duration <= 0 || cfg_.window <= 0) {
+  if (!core::positive_finite(cfg_.duration) ||
+      !core::positive_finite(cfg_.window)) {
     throw std::invalid_argument("Service: bad duration/window");
   }
   if (cfg_.capacity_units <= 0 || cfg_.mtu_units <= 0) {

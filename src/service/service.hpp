@@ -46,8 +46,10 @@ struct ServiceConfig {
   std::string workload = "steady;rate=10";
   /// faults::parse_profile syntax; empty runs with no injector.
   std::string adversary;
-  double duration = 3600.0;        // sim seconds
-  double window = 60.0;            // metrics-export window, sim seconds
+  /// Run length and metrics-export window in sim seconds; both must be
+  /// positive and finite.
+  double duration = 3600.0;
+  double window = 60.0;
   double deadline_offset = 30.0;   // payment deadline = arrival + offset
   double mtu_units = 10.0;
   std::uint64_t seed = 1;          // simulator seed (keys, path salts)

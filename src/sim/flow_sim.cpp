@@ -32,8 +32,12 @@ FlowSimulator::FlowSimulator(const graph::Graph& g,
       cfg_(config),
       faults_(config.faults),
       retry_queue_(config.retry_policy) {
-  if (cfg_.delta <= 0 || cfg_.poll_interval <= 0 || cfg_.end_time <= 0) {
-    throw std::invalid_argument("FlowSimulator: non-positive timing config");
+  if (!core::positive_finite(cfg_.delta) ||
+      !core::positive_finite(cfg_.poll_interval) ||
+      !core::positive_finite(cfg_.end_time)) {
+    throw std::invalid_argument(
+        "FlowSimulator: delta, poll_interval and end_time must be positive "
+        "and finite");
   }
 }
 
@@ -246,7 +250,7 @@ void FlowSimulator::sample_series() {
       static_cast<double>(retry_queue_.size()));
   for (graph::EdgeId e = 0; e < graph_.edge_count(); ++e) {
     metrics_.channel_imbalance_series[e].push_back(
-        core::to_units(net_.channel(e).imbalance()));
+        core::to_units(net_.imbalance(e)));
   }
   if (events_.now() + cfg_.series_bucket <= cfg_.end_time) {
     events_.schedule_typed_in(cfg_.series_bucket, EventKind::kSeriesSample);
@@ -264,7 +268,7 @@ void FlowSimulator::rebalance_sweep() {
     const core::Amount floor_amt = static_cast<core::Amount>(
         static_cast<double>(half) * cfg_.rebalance_threshold);
     for (const core::Side side : {core::Side::kA, core::Side::kB}) {
-      const core::Amount bal = net_.channel(e).balance(side);
+      const core::Amount bal = network().channel(e).balance(side);
       if (bal >= floor_amt) continue;
       const core::Amount top_up = half - bal;
       if (top_up <= 0) continue;
@@ -284,25 +288,22 @@ void FlowSimulator::rebalance_sweep() {
 
 void FlowSimulator::deposit(graph::EdgeId e, core::Side side,
                             core::Amount amount) {
-  net_.channel(e).deposit(side, amount);
+  net_.deposit(e, side, amount);
   if (cfg_.auditor != nullptr) cfg_.auditor->note_external_deposit(amount);
 }
 
 void FlowSimulator::poll() {
-  std::vector<core::QueuedUnit> batch;
-  const std::size_t budget =
-      cfg_.max_retries_per_poll == 0 ? retry_queue_.size()
-                                     : cfg_.max_retries_per_poll;
-  batch.reserve(std::min(budget, retry_queue_.size()));
-  // Pop in policy order; re-add incomplete payments afterwards.
-  while (batch.size() < budget) {
-    auto qu = retry_queue_.pop();
-    if (!qu) break;
-    payments_[qu->unit.payment].enqueued = false;
-    batch.push_back(*qu);
-  }
+  // The batch leaves the queue up front, in policy order; incomplete
+  // payments are re-queued as they are served (core::RetryRun keeps an
+  // unchanged key in place).
+  const std::span<const core::QueuedUnit> batch =
+      retry_queue_.begin_poll(cfg_.max_retries_per_poll);
   for (const core::QueuedUnit& qu : batch) {
-    const core::PaymentId pid = qu.unit.payment;
+    payments_[qu.unit.payment].enqueued = false;
+  }
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const core::PaymentId pid = batch[i].unit.payment;
+    retry_queue_.serve(i);
     if (faults_ != nullptr && events_.now() < payments_[pid].not_before) {
       // Fault backoff window still open: skip this poll, stay queued.
       ++metrics_.fault_backoff_retries;
@@ -315,6 +316,7 @@ void FlowSimulator::poll() {
       enqueue_retry(pid);
     }
   }
+  retry_queue_.end_poll();
   if (events_.now() + cfg_.poll_interval <= cfg_.end_time) {
     events_.schedule_typed_in(cfg_.poll_interval, EventKind::kPoll);
   }

@@ -37,7 +37,8 @@ class InvariantAuditor;  // sim/audit.hpp
 
 struct FlowSimConfig {
   /// Simulation horizon; results are collected at this time (paper: 200 s
-  /// for the ISP topology, 85 s for Ripple).
+  /// for the ISP topology, 85 s for Ripple). It, `delta` and
+  /// `poll_interval` must be positive and finite.
   TimePoint end_time = 200.0;
   /// In-flight delay before routed funds become available (paper: 0.5 s).
   TimePoint delta = 0.5;
@@ -185,7 +186,7 @@ class FlowSimulator {
   EventQueue events_;
   std::vector<PaymentState> payments_;
   core::Slab<LiveSend> live_sends_;  // in-flight shares awaiting delta
-  core::UnitQueue retry_queue_;
+  core::RetryRun retry_queue_;
   core::Preimage next_key_ = 1;
   /// Value this simulator believes is locked in live route locks (sum
   /// of RouteLock::total_held between send and complete); the auditor

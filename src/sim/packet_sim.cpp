@@ -20,7 +20,8 @@ PacketSimulator::PacketSimulator(const graph::Graph& g,
       net_(g, capacity_),
       cfg_(config),
       faults_(config.faults) {
-  if (cfg_.mtu <= 0 || cfg_.hop_delay <= 0 || cfg_.end_time <= 0) {
+  if (cfg_.mtu <= 0 || !core::positive_finite(cfg_.hop_delay) ||
+      !core::positive_finite(cfg_.end_time)) {
     throw std::invalid_argument("PacketSimulator: bad config");
   }
   if (cfg_.cc_mode == CongestionControlMode::kSpiderCc &&

@@ -73,7 +73,9 @@ enum class CongestionControlMode : std::uint8_t {
 
 struct PacketSimConfig {
   core::Amount mtu = core::from_units(10.0);
-  TimePoint hop_delay = 0.05;   // per-hop propagation/processing delay
+  /// Per-hop propagation/processing delay and the run horizon; both
+  /// must be positive and finite.
+  TimePoint hop_delay = 0.05;
   TimePoint end_time = 100.0;
   core::SchedulingPolicy router_policy = core::SchedulingPolicy::kSrpt;
   std::size_t path_k = 4;       // edge-disjoint candidate paths per pair

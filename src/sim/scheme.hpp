@@ -51,10 +51,27 @@ class RoutingScheme {
     (void)delta;
   }
 
-  /// Decides sends for a payment with `remaining` value left to deliver
-  /// at simulation time `now`. Returned amounts should respect
+  /// Decides sends for a payment with `remaining` (> 0) value left to
+  /// deliver at simulation time `now`. Returned amounts should respect
   /// `net.path_available`; the simulator re-validates and clamps anyway
   /// (sends race with each other).
+  ///
+  /// Dry-pair memo. A scheme may remember, per (src, dst), the
+  /// `net.raise_epoch()` at which every candidate path had
+  /// `path_available == 0`, and answer `{}` at once while `net` shows
+  /// the same epoch. This is exact when the scheme answers `{}` for a
+  /// pair whose candidate paths are all dry, whatever `remaining` and
+  /// `now` are, and reads nothing else that changes between calls.
+  /// Shortest-path, waterfilling (and spider-cc's flow fallback),
+  /// Spider (LP) and Spider (primal-dual) do so; stale waterfilling does
+  /// not, because its route() refreshes a probe snapshot. The memo
+  /// relies on callers to keep one rule: between two prepare() calls,
+  /// two route() calls that see the same raise epoch must see channel
+  /// states in which no arc's spendable balance is higher at the later
+  /// call. The flow simulator passes only its live network, whose epoch
+  /// every raise bumps, and stale snapshots, whose epochs no other view
+  /// shows (sim::stale_snapshot). A caller that routes against an
+  /// unrelated network calls prepare() first.
   [[nodiscard]] virtual std::vector<RouteChoice> route(
       const PaymentRequest& req, Amount remaining,
       const ChannelNetwork& net, core::TimePoint now) = 0;

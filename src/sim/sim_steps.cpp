@@ -40,7 +40,7 @@ void attach_auditor(InvariantAuditor& auditor,
 }
 
 std::unique_ptr<core::ChannelNetwork> stale_snapshot(
-    const core::ChannelNetwork& net) {
+    core::ChannelNetwork& net) {
   const graph::Graph& g = net.graph();
   std::vector<std::pair<core::Amount, core::Amount>> deposits;
   deposits.reserve(g.edge_count());
@@ -50,7 +50,13 @@ std::unique_ptr<core::ChannelNetwork> stale_snapshot(
         ch.balance(core::Side::kA) + ch.pending(core::Side::kA),
         ch.balance(core::Side::kB) + ch.pending(core::Side::kB));
   }
-  return std::make_unique<core::ChannelNetwork>(g, deposits);
+  auto snapshot = std::make_unique<core::ChannelNetwork>(g, deposits);
+  // Dry-pair memos key on the raise epoch alone, so the snapshot must
+  // show one no other view ever shows: it takes live + 1 and the live
+  // network jumps past it.
+  snapshot->advance_raise_epoch(net.raise_epoch() + 1);
+  net.advance_raise_epoch(net.raise_epoch() + 2);
+  return snapshot;
 }
 
 void record_outcome(Metrics& m, core::Amount amount, core::Amount delivered) {

@@ -43,9 +43,11 @@ void attach_auditor(InvariantAuditor& auditor,
 /// per-side deposits are `net`'s spendable + pending funds, i.e. what
 /// each side commands once in-flight holds resolve. Each edge's escrow
 /// is positive, so every channel of the copy is valid even when one
-/// side is drained.
+/// side is drained. The copy's raise epoch is one no other view of
+/// `net` ever shows (`net`'s epoch + 1, and `net` skips to + 2), so a
+/// dry-pair memo taken on one never applies to the other.
 [[nodiscard]] std::unique_ptr<core::ChannelNetwork> stale_snapshot(
-    const core::ChannelNetwork& net);
+    core::ChannelNetwork& net);
 
 /// Counts one attempted payment of `amount` that delivered `delivered`
 /// by the end of the run: succeeded, partial or failed.

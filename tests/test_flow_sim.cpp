@@ -191,6 +191,25 @@ TEST(FlowSim, ApiMisuseThrows) {
   EXPECT_THROW(sim.add_payment(payment(0, 1, 10, 1.0)), std::logic_error);
 }
 
+TEST(FlowSim, RejectsNonFiniteDurations) {
+  // An infinite horizon used to poll forever; NaN slipped past "<= 0".
+  const graph::Graph g = graph::topology::make_line(2);
+  schemes::ShortestPathScheme scheme;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0}) {
+    for (double FlowSimConfig::*field :
+         {&FlowSimConfig::delta, &FlowSimConfig::poll_interval,
+          &FlowSimConfig::end_time}) {
+      FlowSimConfig cfg;
+      cfg.*field = bad;
+      EXPECT_THROW(
+          FlowSimulator(g, std::vector<Amount>{from_units(100)}, scheme, cfg),
+          std::invalid_argument)
+          << bad;
+    }
+  }
+}
+
 TEST(FlowSim, OnChainRebalancingUnblocksOneWayTraffic) {
   // Pure one-way demand exhausts the channel; with on-chain rebalancing
   // enabled (§5.2.3) the router tops up its side and traffic continues.

@@ -175,6 +175,22 @@ TEST(PacketSim, ApiMisuseThrows) {
       std::invalid_argument);
 }
 
+TEST(PacketSim, RejectsNonFiniteDurations) {
+  const graph::Graph g = graph::topology::make_line(2);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0}) {
+    for (TimePoint PacketSimConfig::*field :
+         {&PacketSimConfig::end_time, &PacketSimConfig::hop_delay}) {
+      PacketSimConfig cfg;
+      cfg.*field = bad;
+      EXPECT_THROW(
+          PacketSimulator(g, std::vector<Amount>{from_units(100)}, cfg),
+          std::invalid_argument)
+          << bad;
+    }
+  }
+}
+
 TEST(PacketSim, SubmitRejectsDecreasingArrival) {
   // Payment ids are submission indices and arrivals fire in submission
   // order, so an arrival earlier than the previous one is refused.

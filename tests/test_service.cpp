@@ -208,6 +208,19 @@ const char* const kGeneratorSpecs[] = {
     "flash;rate=4;boost=8;every=30;blen=6;seed=3",
 };
 
+TEST(Service, RejectsNonFiniteDurationAndWindow) {
+  // An infinite duration used to emit windows forever.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0}) {
+    for (double ServiceConfig::*field :
+         {&ServiceConfig::duration, &ServiceConfig::window}) {
+      ServiceConfig cfg = small_service(kGeneratorSpecs[0]);
+      cfg.*field = bad;
+      EXPECT_THROW(Service{cfg}, std::invalid_argument) << bad;
+    }
+  }
+}
+
 TEST(Service, WindowDeltasSumToFinalMetrics) {
   Service svc(small_service(kGeneratorSpecs[0]));
   const sim::Metrics& m = svc.finish();
