@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "graph/graph.hpp"
@@ -25,10 +26,17 @@ using Amount = std::int64_t;
 inline constexpr Amount kAmountScale = 1000;
 
 /// Converts whole currency units (e.g. XRP) to an Amount, rounding to the
-/// nearest milli-unit.
+/// nearest milli-unit. Throws std::invalid_argument on NaN, infinity or
+/// a value outside the Amount range (casting one to int64 is undefined).
 [[nodiscard]] constexpr Amount from_units(double units) {
   const double scaled = units * static_cast<double>(kAmountScale);
-  return static_cast<Amount>(scaled >= 0 ? scaled + 0.5 : scaled - 0.5);
+  const double rounded = scaled >= 0 ? scaled + 0.5 : scaled - 0.5;
+  constexpr double kLimit = 9223372036854775808.0;  // 2^63
+  if (!(rounded >= -kLimit && rounded < kLimit)) {  // NaN fails too
+    throw std::invalid_argument(
+        "from_units: amount is not finite or outside the Amount range");
+  }
+  return static_cast<Amount>(rounded);
 }
 
 /// Converts an Amount back to fractional currency units.

@@ -175,6 +175,10 @@ std::vector<TrialResult> run_trials(const std::vector<TrialSpec>& trials,
 }
 
 std::vector<TrialSpec> make_trials(const SweepConfig& cfg) {
+  // An amount outside the fixed-point range makes the whole grid invalid,
+  // even the flow trials that ignore the MTU: reject it before any runs.
+  (void)core::from_units(cfg.base.mtu_units);
+  for (const double cap : cfg.capacities_units) (void)core::from_units(cap);
   const std::vector<std::string> schemes =
       cfg.schemes.empty() ? schemes::all_scheme_names() : cfg.schemes;
   std::vector<TrialSpec> trials;

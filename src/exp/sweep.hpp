@@ -108,6 +108,8 @@ struct SweepConfig {
   TrialSpec base;
 };
 
+/// Expands the grid. Throws std::invalid_argument if the base MTU or a
+/// capacity is not a representable amount (core::from_units).
 [[nodiscard]] std::vector<TrialSpec> make_trials(const SweepConfig& cfg);
 
 [[nodiscard]] std::vector<TrialResult> run_sweep(const SweepConfig& cfg,

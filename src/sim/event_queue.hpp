@@ -1,13 +1,28 @@
 #pragma once
-// Minimal deterministic discrete-event engine. Events fire in (time,
-// insertion-order) order, so two runs with the same seed are bit-for-bit
-// identical.
+// Deterministic discrete-event engine. Events fire in (time, seq) order,
+// where seq is the insertion sequence number, so two runs with the same
+// seed are bit-for-bit identical.
 //
 // Every event is typed: a tagged union of the simulators' fixed event
-// kinds with two 64-bit payload words, stored inline in the heap.
-// Scheduling one is a heap push with zero per-event allocation; firing
-// one calls the registered dispatcher (a plain function pointer +
-// context, set once per simulation).
+// kinds with two 64-bit payload words, stored inline. Scheduling one
+// allocates nothing per event; firing one calls the registered
+// dispatcher (a plain function pointer + context, set once per
+// simulation).
+//
+// Pending events live in two places (DESIGN.md §16):
+//   - delay lanes: an event scheduled `schedule_typed_in(d, ...)` joins
+//     the FIFO lane of the exact delay `d`. The clock never goes back,
+//     and `now + d` is monotone in `now` under IEEE rounding, so each
+//     lane is already sorted by (time, seq); a push and a pop are O(1).
+//     At most 16 distinct delays get a lane (kMaxLanes in
+//     event_queue.cpp); later ones use the heap.
+//   - a 4-ary min-heap for absolute-time schedules (`schedule_typed`)
+//     and for delays beyond the lane cap.
+// Each pop takes the earliest of the heap top and the lane heads by
+// SimEvent::before, so the firing order is the (time, seq) order a
+// single heap would give. In the packet simulator every hop and every
+// unwithheld ack is a lane event: the heap holds a handful of periodic
+// and fault events.
 
 #include <cstdint>
 #include <vector>
@@ -109,11 +124,14 @@ class EventQueue {
   void schedule_typed(TimePoint t, EventKind kind, std::uint64_t a = 0,
                       std::uint64_t b = 0);
 
-  /// Schedules an event after a relative delay.
+  /// Schedules an event at `now() + delay` (same checks as
+  /// schedule_typed). The event joins the FIFO lane of this exact delay
+  /// while the lane count is under its cap, else the heap. Use it for
+  /// the fixed delays a simulation repeats (a hop, an ack over L hops, a
+  /// periodic sweep); schedule an arbitrary one-off delay with
+  /// `schedule_typed(now() + delay, ...)` so it takes no lane.
   void schedule_typed_in(TimePoint delay, EventKind kind, std::uint64_t a = 0,
-                         std::uint64_t b = 0) {
-    schedule_typed(now_ + delay, kind, a, b);
-  }
+                         std::uint64_t b = 0);
 
   /// Pops and runs the earliest event, advancing the clock.
   /// Returns false when no events remain.
@@ -127,24 +145,58 @@ class EventQueue {
   void run_all();
 
   [[nodiscard]] TimePoint now() const { return now_; }
-  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
+  /// Events scheduled and not yet fired, heap and lanes together.
+  [[nodiscard]] std::size_t pending() const;
   /// Events executed so far (monotone; the unit of events/sec benches).
   [[nodiscard]] std::uint64_t processed() const { return processed_; }
 
   /// FNV-1a over the clock, sequence counter, processed-event count,
   /// and every pending event (time bits, meta, payload) sorted by
   /// sequence number -- a pure function of the engine's semantic state,
-  /// independent of heap layout. Two byte-identical runs checksum
-  /// identically at the same point; PacketSimulator::state_checksum()
-  /// mixes it in for the service-mode snapshot validation (DESIGN.md
-  /// §13).
+  /// independent of heap layout and of which events sit in lanes. Two
+  /// byte-identical runs checksum identically at the same point;
+  /// PacketSimulator::state_checksum() mixes it in for the service-mode
+  /// snapshot validation (DESIGN.md §13).
   [[nodiscard]] std::uint64_t canonical_checksum() const;
 
  private:
+  /// FIFO ring of the pending events that share one delay; sorted by
+  /// (time, seq) because they were pushed in that order. The ring's
+  /// capacity is a power of two that doubles when full, so its memory
+  /// tracks the lane's peak live count, as the heap's vector does.
+  struct Lane {
+    TimePoint delay = 0;
+    std::vector<SimEvent> ring;
+    std::size_t head = 0;  // index of the earliest event
+    std::size_t size = 0;
+
+    void push(const SimEvent& ev);
+    SimEvent pop();
+    /// The i-th earliest event, i < size.
+    [[nodiscard]] const SimEvent& at(std::size_t i) const {
+      return ring[(head + i) & (ring.size() - 1)];
+    }
+  };
+
+  /// Source of the earliest pending event: a lane index, kFromHeap, or
+  /// kNone when nothing is pending.
+  static constexpr std::size_t kFromHeap = ~std::size_t{0};
+  static constexpr std::size_t kNone = kFromHeap - 1;
+  [[nodiscard]] std::size_t earliest() const;
+  [[nodiscard]] const SimEvent& peek(std::size_t src) const {
+    return src == kFromHeap ? *heap_.top() : lanes_[src].at(0);
+  }
+  /// Checks `t` and stamps the next sequence number on a new event.
+  SimEvent make_event(TimePoint t, EventKind kind, std::uint64_t a,
+                      std::uint64_t b);
+  /// Pops the event at `src`, advances the clock and dispatches it.
+  void fire(std::size_t src);
+
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   EventHeap heap_;
+  std::vector<Lane> lanes_;  // at most kMaxLanes; a lane is never dropped
 
   Dispatcher dispatcher_ = nullptr;
   void* dispatcher_ctx_ = nullptr;

@@ -214,7 +214,14 @@ void FlowSimulator::send(core::PaymentId pid, core::Amount amt,
   ls.key = key;
   ls.pid = pid;
   ls.cancelled = false;
-  events_.schedule_typed_in(delay, EventKind::kSettle, h.packed());
+  if (delay == cfg_.delta) {
+    events_.schedule_typed_in(delay, EventKind::kSettle, h.packed());
+  } else {
+    // A held settlement's delay is arbitrary: schedule it at its
+    // absolute time so it takes no delay lane (DESIGN.md §16).
+    events_.schedule_typed(events_.now() + delay, EventKind::kSettle,
+                           h.packed());
+  }
 }
 
 void FlowSimulator::complete(core::SlabHandle h) {

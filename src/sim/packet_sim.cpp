@@ -520,8 +520,14 @@ void PacketSimulator::unit_reached_destination(core::SlabHandle h) {
     if (griefed > withheld) withheld = griefed;
     ++metrics_.fault_griefed_acks;
   }
-  events_.schedule_typed_in(ack_delay + withheld, EventKind::kAck,
-                            h.packed());
+  if (withheld > 0) {
+    // A held ack's delay is arbitrary: schedule it at its absolute time
+    // so it takes no delay lane (DESIGN.md §16).
+    events_.schedule_typed(now() + (ack_delay + withheld), EventKind::kAck,
+                           h.packed());
+  } else {
+    events_.schedule_typed_in(ack_delay, EventKind::kAck, h.packed());
+  }
 }
 
 void PacketSimulator::ack_unit(core::SlabHandle h) {

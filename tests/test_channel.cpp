@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace spider::core {
 namespace {
 
@@ -16,6 +19,21 @@ TEST(Amounts, FixedPointConversions) {
   EXPECT_EQ(amount_to_string(-2050), "-2.05");
   EXPECT_EQ(amount_to_string(3000), "3");
   EXPECT_EQ(amount_to_string(7), "0.007");
+}
+
+TEST(Amounts, FromUnitsRejectsUnrepresentableValues) {
+  // Casting these to int64 is undefined behaviour; the conversion throws.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)from_units(inf), std::invalid_argument);
+  EXPECT_THROW((void)from_units(-inf), std::invalid_argument);
+  EXPECT_THROW((void)from_units(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW((void)from_units(1e300), std::invalid_argument);
+  // 9.3e18 milli-units is past 2^63; 9.2e18 still fits.
+  EXPECT_THROW((void)from_units(9.3e15), std::invalid_argument);
+  EXPECT_EQ(from_units(9.2e15), Amount{9'200'000'000'000'000'000});
+  EXPECT_EQ(from_units(-9.2e15), -Amount{9'200'000'000'000'000'000});
+  static_assert(from_units(2.5) == 2500);  // still usable at compile time
 }
 
 TEST(Channel, OpensWithDeposits) {
