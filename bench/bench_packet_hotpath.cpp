@@ -1,20 +1,18 @@
-// Hot-path microbenchmark of the packet-level simulator: events/sec of
-// the discrete-event engine and end-to-end trial wall time on the
-// mid-size ISP topology under the fig-6 workload calibration.
+// Packet-level simulator golden on the mid-size ISP topology under the
+// fig-6 workload calibration: per trial, the dispatched event count and
+// the final sim::Metrics.
 //
-// This bench seeds the repository's performance trajectory: it writes
-// BENCH_packet_sim.json (schema documented in EXPERIMENTS.md) and CI
-// compares a fresh run against the committed baseline, failing on a
-// >20% events/sec regression. The *metrics* in the report are
-// deterministic (same seed -> identical sim::Metrics for any --threads
-// N); only the wall-time / events-per-sec fields vary run to run.
+// It writes BENCH_packet_sim.json (schema documented in EXPERIMENTS.md);
+// the bench_packet_hotpath_golden ctest compares a fresh run with the
+// committed file. Every field is deterministic (same seed -> identical
+// report for any --threads N). perfbench's ripple-packet workload times
+// the same event loop (`sim.packet.*.events_per_s`).
 //
 // Two path-selection variants run per seed replica: "widest" (the
 // paper's imbalance-aware default) and "rr+cc" (round-robin paths with
 // host congestion control), so both the router-queue and the
 // AIMD-backlog hot paths are exercised.
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -33,7 +31,6 @@ struct HotpathTrial {
 
 struct HotpathResult {
   std::uint64_t events = 0;
-  double wall_seconds = 0;
   sim::Metrics metrics;
 };
 
@@ -67,11 +64,7 @@ HotpathResult run_hotpath_trial(const graph::Graph& g,
     psim.submit(req);
   }
   HotpathResult r;
-  const auto t0 = std::chrono::steady_clock::now();
   r.metrics = psim.run();
-  r.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   r.events = psim.events_processed();
   return r;
 }
@@ -81,7 +74,7 @@ HotpathResult run_hotpath_trial(const graph::Graph& g,
 int main(int argc, char** argv) {
   const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
   bench::print_header("bench_packet_hotpath",
-                      "packet-simulator hot path (events/sec, §4 substrate)");
+                      "packet-simulator events and metrics (§4 substrate)");
   const bool full = bench::full_scale();
   const exp::Runner runner(args.threads);
 
@@ -115,24 +108,15 @@ int main(int argc, char** argv) {
         return run_hotpath_trial(g, traces[i / 2], hc, trials[i]);
       });
 
-  std::printf("%-10s %10s %12s %10s %14s %13s\n", "variant", "seed",
-              "events", "wall_s", "events/sec", "success_ratio");
-  std::uint64_t total_events = 0;
-  double total_wall = 0;
+  std::printf("%-10s %10s %12s %13s\n", "variant", "seed", "events",
+              "success_ratio");
   for (std::size_t i = 0; i < trials.size(); ++i) {
     const HotpathResult& r = results[i];
-    total_events += r.events;
-    total_wall += r.wall_seconds;
-    std::printf("%-10s %10llu %12llu %10.3f %14.0f %13.3f\n", trials[i].label,
+    std::printf("%-10s %10llu %12llu %13.3f\n", trials[i].label,
                 static_cast<unsigned long long>(trials[i].seed % 100000),
-                static_cast<unsigned long long>(r.events), r.wall_seconds,
-                static_cast<double>(r.events) / r.wall_seconds,
+                static_cast<unsigned long long>(r.events),
                 r.metrics.success_ratio());
   }
-  const double agg_eps = static_cast<double>(total_events) / total_wall;
-  std::printf("\naggregate: %llu events in %.3f s = %.0f events/sec\n",
-              static_cast<unsigned long long>(total_events), total_wall,
-              agg_eps);
 
   exp::Json j = exp::Json::object();
   j.set("bench", "packet_hotpath");
@@ -144,25 +128,16 @@ int main(int argc, char** argv) {
   j.set("mtu_units", hc.mtu_units);
   j.set("capacity_units", hc.capacity_units);
   j.set("deadline_offset", hc.deadline_offset);
-  j.set("threads", static_cast<std::uint64_t>(runner.threads()));
   exp::Json jtrials = exp::Json::array();
   for (std::size_t i = 0; i < trials.size(); ++i) {
     exp::Json t = exp::Json::object();
     t.set("variant", trials[i].label);
     t.set("seed", trials[i].seed);
     t.set("events", results[i].events);
-    t.set("wall_seconds", results[i].wall_seconds);
-    t.set("events_per_sec",
-          static_cast<double>(results[i].events) / results[i].wall_seconds);
     t.set("metrics", exp::report::metrics_to_json(results[i].metrics));
     jtrials.push_back(std::move(t));
   }
   j.set("trials", std::move(jtrials));
-  exp::Json agg = exp::Json::object();
-  agg.set("events", total_events);
-  agg.set("wall_seconds", total_wall);
-  agg.set("events_per_sec", agg_eps);
-  j.set("aggregate", std::move(agg));
 
   const std::string out =
       args.json_out.empty() ? "BENCH_packet_sim.json" : args.json_out;

@@ -10,14 +10,15 @@
 // additionally runs the fig-6-style six-scheme sweep at default scale,
 // pinning its deterministic metrics into the report.
 //
-// Writes BENCH_scale.json (schema in EXPERIMENTS.md). CI re-runs the
-// bench at reduced scale and compares: deterministic fields (checksums,
-// event counts, metrics) must match exactly; timing fields gate with
-// generous thresholds. Peak RSS comes from getrusage and is cumulative
-// over the process, so the 100k block reports the high-water mark. Each
-// block also records current RSS (VmRSS) after each stage -- graph
-// build, path precompute, simulator construction and run -- so a
-// per-node or per-channel fixed cost shows up in the stage that pays it.
+// Writes BENCH_scale.json (schema in EXPERIMENTS.md). The
+// bench_scale_golden ctest re-runs the bench at reduced scale and
+// checks the deterministic fields (checksums, event counts, metrics)
+// exactly; timings are printed and recorded, not judged. Peak RSS comes
+// from getrusage and is cumulative over the process, so the 100k block
+// reports the high-water mark. Each block also records current RSS
+// (VmRSS) after each stage -- graph build, path precompute, simulator
+// construction and run -- so a per-node or per-channel fixed cost shows
+// up in the stage that pays it; CI gates two of those stages.
 
 #include <chrono>
 #include <cstdio>
@@ -88,21 +89,23 @@ std::vector<graph::PathTable::Pair> strided_pairs(graph::NodeId n,
   return pairs;
 }
 
+// Worker count of the timed parallel precompute, fixed so that the
+// {1, 2, 8} checksum identity holds whatever --threads sizes the sweep.
+constexpr std::size_t kPrecomputeThreads = 8;
+
 struct PrecomputeTiming {
   graph::PathTable table;  // the parallel-run result (all runs identical)
   double serial_seconds = 0.0;
   double parallel_seconds = 0.0;
-  std::size_t parallel_threads = 0;
   bool checksums_equal = false;
 };
 
-/// Runs the precompute serial and at 2 and `threads` workers, asserts
-/// the PathTable fingerprints agree, and returns the timings.
+/// Runs the precompute serial and at 2 and kPrecomputeThreads workers,
+/// asserts the PathTable fingerprints agree, and returns the timings.
 PrecomputeTiming time_precompute(const graph::Graph& g,
                                  const exp::PathPrecomputePlan& plan,
-                                 std::size_t k, std::size_t threads) {
+                                 std::size_t k) {
   PrecomputeTiming r;
-  r.parallel_threads = threads;
   auto t0 = Clock::now();
   const graph::PathTable serial =
       exp::precompute_paths(g, plan, k, exp::Runner(1));
@@ -111,7 +114,7 @@ PrecomputeTiming time_precompute(const graph::Graph& g,
       exp::precompute_paths(g, plan, k, exp::Runner(2));
   t0 = Clock::now();
   graph::PathTable parallel =
-      exp::precompute_paths(g, plan, k, exp::Runner(threads));
+      exp::precompute_paths(g, plan, k, exp::Runner(kPrecomputeThreads));
   r.parallel_seconds = seconds_since(t0);
   r.checksums_equal = serial.checksum() == two.checksum() &&
                       serial.checksum() == parallel.checksum();
@@ -173,7 +176,7 @@ struct ScaleBlock {
   std::size_t extra_pairs;  // strided pairs beyond the trace's own
 };
 
-exp::Json run_block(const ScaleBlock& b, std::size_t threads) {
+exp::Json run_block(const ScaleBlock& b) {
   std::printf("\n--- %s ---\n", b.topology.c_str());
 
   const auto t0 = Clock::now();
@@ -199,15 +202,15 @@ exp::Json run_block(const ScaleBlock& b, std::size_t threads) {
   pairs.insert(pairs.end(), strided.begin(), strided.end());
   const auto plan = exp::PathPrecomputePlan::make(std::move(pairs));
 
-  const PrecomputeTiming pc = time_precompute(g, plan, 4, threads);
+  const PrecomputeTiming pc = time_precompute(g, plan, 4);
   const double precompute_rss_mb = current_rss_mb();
   const double speedup = pc.parallel_seconds > 0.0
                              ? pc.serial_seconds / pc.parallel_seconds
                              : 0.0;
   std::printf("precompute %zu pairs (k=4): serial %.3f s, %zu-thread %.3f s "
               "(speedup %.2fx), checksums equal across {1,2,%zu} threads\n",
-              plan.pairs.size(), pc.serial_seconds, pc.parallel_threads,
-              pc.parallel_seconds, speedup, pc.parallel_threads);
+              plan.pairs.size(), pc.serial_seconds, kPrecomputeThreads,
+              pc.parallel_seconds, speedup, kPrecomputeThreads);
 
   const SimRun sim = run_packet_trial(g, trace, pc.table,
                                       b.sim_capacity_units, b.sim_end_time);
@@ -236,7 +239,7 @@ exp::Json run_block(const ScaleBlock& b, std::size_t threads) {
   jp.set("table_checksum", pc.table.checksum());
   jp.set("serial_seconds", pc.serial_seconds);
   jp.set("parallel_seconds", pc.parallel_seconds);
-  jp.set("parallel_threads", static_cast<std::uint64_t>(pc.parallel_threads));
+  jp.set("parallel_threads", static_cast<std::uint64_t>(kPrecomputeThreads));
   jp.set("speedup_parallel", speedup);
   j.set("precompute", std::move(jp));
   exp::Json js = sim_json(sim);
@@ -262,13 +265,13 @@ int main(int argc, char** argv) {
       "bench_scale",
       "CSR substrate + parallel precompute at 3774 and 100k nodes");
   const bool full = bench::full_scale();
-  const std::size_t threads = args.threads == 0 ? 8 : args.threads;
+  const exp::Runner runner(args.threads);
 
   exp::Json j = exp::Json::object();
   j.set("bench", "scale");
   j.set("schema_version", 1);
   j.set("scale", full ? "full" : "reduced");
-  j.set("threads", static_cast<std::uint64_t>(threads));
+  j.set("threads", static_cast<std::uint64_t>(runner.threads()));
 
   // Full-Ripple: the 3774-node topology of the paper's Ripple figures.
   ScaleBlock ripple;
@@ -290,8 +293,8 @@ int main(int argc, char** argv) {
   lightning.extra_pairs = full ? 512 : 128;
 
   exp::Json topologies = exp::Json::array();
-  topologies.push_back(run_block(ripple, threads));
-  topologies.push_back(run_block(lightning, threads));
+  topologies.push_back(run_block(ripple));
+  topologies.push_back(run_block(lightning));
   j.set("topologies", std::move(topologies));
 
   // Fig-6-style six-scheme sweep on full Ripple at default scale: the
@@ -310,7 +313,6 @@ int main(int argc, char** argv) {
     t.capacity_units = 3000.0;
     trials.push_back(std::move(t));
   }
-  const exp::Runner runner(args.threads);
   const auto t0 = Clock::now();
   const std::vector<exp::TrialResult> results =
       exp::run_trials(trials, runner);

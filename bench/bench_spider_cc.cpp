@@ -13,10 +13,10 @@
 //   faults  the fig6 isp32 point under churn / withholding profiles.
 //
 // The committed BENCH_spider_cc.json at the repo root pins the
-// reduced-scale output; the nightly workflow re-runs this bench and
-// diffs the deterministic metrics against it. The bench exits nonzero
-// if spider-cc's mean fig-6 success ratio drops below the baseline's on
-// any topology, so the headline claim is CI-enforced.
+// reduced-scale output; the bench_spider_cc_golden ctest re-runs this
+// bench and checks the deterministic fields against it. The bench exits
+// nonzero if spider-cc's mean fig-6 success ratio drops below the
+// baseline's on any topology, so the headline claim is test-enforced.
 
 #include <chrono>
 #include <cstdio>

@@ -12,9 +12,10 @@
 //    (operator==), state checksums, and every window record's
 //    deterministic fields must match.
 //
-// Writes BENCH_steady_state.json. CI re-runs the bench at this reduced
-// scale and diffs the deterministic fields against the committed
-// baseline; the nightly soak job re-runs at SPIDER_FULL=1 scale.
+// Writes BENCH_steady_state.json. The bench_steady_state_golden ctest
+// re-runs the bench at this reduced scale and checks the deterministic
+// fields against the committed file; the nightly soak job re-runs at
+// SPIDER_FULL=1 scale.
 //
 //   ./build/bench/bench_steady_state [--smoke] [--json PATH]
 //
@@ -137,7 +138,7 @@ exp::Json run_variant(const char* name, const service::ServiceConfig& base) {
   j.set("state_checksum", checksum);
   j.set("snapshot_restore_identity", true);
   j.set("events", events);
-  // Wall-clock fields (nondeterministic; not diffed by CI).
+  // Wall-clock fields (volatile; check_golden.py drops them).
   j.set("wall_seconds", wall);
   j.set("events_per_wall_sec",
         wall > 0 ? static_cast<double>(events) / wall : 0.0);

@@ -1,6 +1,5 @@
 #include "core/network_io.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <fstream>
 #include <ostream>
@@ -37,7 +36,7 @@ void write_channels_csv(std::ostream& os, const graph::Graph& g,
 NetworkSnapshot read_channels_csv(std::istream& is) {
   std::vector<graph::EdgeEnds> edges;
   NetworkSnapshot snap;
-  graph::NodeId max_node = 0;
+  graph::CsvNodeCount nodes;
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(is, line)) {
@@ -66,10 +65,9 @@ NetworkSnapshot read_channels_csv(std::istream& is) {
     }
     edges.push_back({*u, *v});
     snap.deposits.emplace_back(a, b);
-    max_node = std::max({max_node, *u, *v});
+    nodes.add(*u, *v, line_no);
   }
-  snap.graph = graph::Graph(
-      edges.empty() ? 0 : static_cast<std::size_t>(max_node) + 1, edges);
+  snap.graph = graph::Graph(nodes.node_count("read_channels_csv"), edges);
   return snap;
 }
 

@@ -32,7 +32,8 @@ void write_channels_csv(std::ostream& os, const graph::Graph& g,
 
 /// Parses a channels CSV. Tolerates a header row, blank lines, and '#'
 /// comments; throws std::runtime_error on malformed rows, negative
-/// balances, or empty channels.
+/// balances, empty channels, or ids too sparse for the row count
+/// (graph::CsvNodeCount).
 [[nodiscard]] NetworkSnapshot read_channels_csv(std::istream& is);
 
 void save_channels_csv(const std::string& path, const graph::Graph& g,

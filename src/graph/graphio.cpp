@@ -36,9 +36,31 @@ std::optional<NodeId> parse_node_id(std::string_view field) {
   return static_cast<NodeId>(id);
 }
 
+void CsvNodeCount::add(NodeId u, NodeId v, std::size_t line_no) {
+  const NodeId top = std::max(u, v);
+  if (rows_ == 0 || top > max_id_) {
+    max_id_ = top;
+    max_line_ = line_no;
+  }
+  ++rows_;
+}
+
+std::size_t CsvNodeCount::node_count(const char* reader) const {
+  if (rows_ == 0) return 0;
+  const std::size_t n = static_cast<std::size_t>(max_id_) + 1;
+  if (n > 2 * rows_ + kSpareIds) {
+    throw std::runtime_error(
+        std::string(reader) + ": node id " + std::to_string(max_id_) +
+        " on line " + std::to_string(max_line_) + " asks for " +
+        std::to_string(n) + " nodes from " + std::to_string(rows_) +
+        " rows (ids must be dense)");
+  }
+  return n;
+}
+
 Graph read_edge_list_csv(std::istream& is) {
   std::vector<EdgeEnds> edges;
-  NodeId max_node = 0;
+  CsvNodeCount nodes;
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(is, line)) {
@@ -58,10 +80,9 @@ Graph read_edge_list_csv(std::istream& is) {
                                std::to_string(line_no) + ": '" + line + "'");
     }
     edges.push_back({*u, *v});
-    max_node = std::max({max_node, *u, *v});
+    nodes.add(*u, *v, line_no);
   }
-  return Graph(edges.empty() ? 0 : static_cast<std::size_t>(max_node) + 1,
-               edges);
+  return Graph(nodes.node_count("read_edge_list_csv"), edges);
 }
 
 void save_edge_list_csv(const std::string& path, const Graph& g) {

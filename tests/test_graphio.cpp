@@ -63,6 +63,25 @@ TEST(GraphIo, IdsParseWholeFieldOnly) {
   EXPECT_EQ(read_edge_list_csv(good).node_count(), 5u);
 }
 
+TEST(GraphIo, SparseIdThrowsNamingTheLine) {
+  // One legal row must not size a ~4e9-node arena: the node count is
+  // bounded by 2 x rows + CsvNodeCount::kSpareIds.
+  std::istringstream is("u,v\n0,1\n# comment\n0,4000000000\n");
+  try {
+    (void)read_edge_list_csv(is);
+    FAIL() << "sparse id accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+        << e.what();
+  }
+  // The bound is inclusive: 1 row names up to 2 + kSpareIds nodes.
+  const std::size_t last = 1 + CsvNodeCount::kSpareIds;
+  std::istringstream at_bound("0," + std::to_string(last) + "\n");
+  EXPECT_EQ(read_edge_list_csv(at_bound).node_count(), last + 1);
+  std::istringstream past("0," + std::to_string(last + 1) + "\n");
+  EXPECT_THROW((void)read_edge_list_csv(past), std::runtime_error);
+}
+
 TEST(GraphIo, ParseNodeId) {
   EXPECT_EQ(parse_node_id("0"), NodeId{0});
   EXPECT_EQ(parse_node_id("4294967294"), NodeId{4294967294u});

@@ -63,6 +63,18 @@ TEST(NetworkIo, FieldsParseWholeFieldOnly) {
             Amount{9223372036854775807});
 }
 
+TEST(NetworkIo, SparseIdThrowsNamingTheLine) {
+  // One legal row must not size a ~4e9-node arena (graph::CsvNodeCount).
+  std::istringstream is("0,1,5,5\n0,4000000000,5,5\n");
+  try {
+    (void)read_channels_csv(is);
+    FAIL() << "sparse id accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(NetworkIo, SizeMismatchThrows) {
   const graph::Graph g = graph::topology::make_ring(4);
   std::ostringstream os;
