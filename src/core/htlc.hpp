@@ -87,10 +87,11 @@ class HtlcKeyRing {
   };
 
   std::mt19937_64 rng_;
-  // Both registries are keyed lookups only (find/operator[]), never
-  // iterated; draw order comes from rng_, not table order.
+  // Keyed lookups only (find/operator[]), never iterated; draw order
+  // comes from rng_, not table order.
   // spider-lint: allow(unordered-container)
   std::unordered_map<TxUnitId, UnitKey, UnitIdHash> unit_keys_;
+  // Keyed lookups only, like unit_keys_; never iterated.
   std::unordered_map<PaymentId, AtomicPayment> atomic_;  // spider-lint: allow(unordered-container)
 };
 

@@ -8,7 +8,7 @@ namespace spider::exp {
 
 namespace {
 
-// Default pairs per chunk: small enough that a 16-thread pool stays
+// Default pairs per chunk: small enough that 16 Runner threads stay
 // busy on a few thousand pairs, large enough that chunk bookkeeping
 // and the serial stitch stay negligible next to the path queries.
 constexpr std::size_t kDefaultChunkSize = 256;

@@ -1,5 +1,5 @@
 #pragma once
-// Sharded path precomputation over the exp::Runner thread pool.
+// Sharded path precomputation over exp::Runner threads.
 //
 // The paper's evaluation precomputes "4 disjoint shortest paths for
 // every source-destination pair" (§6.1). Serially, that setup dominates

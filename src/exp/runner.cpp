@@ -1,12 +1,11 @@
 #include "exp/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <exception>
+#include <limits>
 #include <thread>
-
-#include "core/thread_annotations.hpp"
 
 namespace spider::exp {
 
@@ -20,127 +19,50 @@ std::uint64_t derive_seed(std::uint64_t base_seed,
   return z ^ (z >> 31);
 }
 
-// Persistent worker pool. One batch runs at a time: run() publishes
-// (job_, job_count_) under mu_ and bumps batch_id_; workers pull
-// indices from the lock-free cursor next_ and check back in under mu_
-// when the cursor runs dry. Everything the threads share is either the
-// atomic cursor or GUARDED_BY(mu_) -- clang's -Wthread-safety verifies
-// the discipline, and the spider_lint `guarded-by` pass cross-checks
-// that no lock-scope write ever lands on an unannotated field.
-struct Runner::Pool {
-  explicit Pool(std::size_t workers) : worker_count_(workers) {
-    threads_.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      threads_.emplace_back([this] { worker_loop(); });
-    }
-  }
-
-  ~Pool() {
-    mu_.lock();
-    stop_ = true;
-    mu_.unlock();
-    work_cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  void run(std::size_t count, const std::function<void(std::size_t)>& fn) {
-    mu_.lock();
-    if (batch_active_) {
-      // A worker re-entered for_each (or a second caller thread raced
-      // us) while the single batch slot is busy: run inline, serially.
-      // Index order makes this byte-identical to any parallel order.
-      mu_.unlock();
-      for (std::size_t i = 0; i < count; ++i) fn(i);
-      return;
-    }
-    batch_active_ = true;
-    job_ = &fn;
-    job_count_ = count;
-    checked_in_ = 0;
-    first_error_ = nullptr;
-    next_.store(0, std::memory_order_relaxed);
-    ++batch_id_;
-    mu_.unlock();
-    work_cv_.notify_all();
-
-    mu_.lock();
-    while (checked_in_ != worker_count_) done_cv_.wait(mu_);
-    job_ = nullptr;
-    batch_active_ = false;
-    std::exception_ptr err = first_error_;
-    first_error_ = nullptr;
-    mu_.unlock();
-    if (err) std::rethrow_exception(err);
-  }
-
- private:
-  void worker_loop() {
-    std::uint64_t seen = 0;
-    mu_.lock();
-    for (;;) {
-      while (!stop_ && batch_id_ == seen) work_cv_.wait(mu_);
-      if (stop_) break;
-      seen = batch_id_;
-      const std::function<void(std::size_t)>* job = job_;
-      const std::size_t count = job_count_;
-      mu_.unlock();
-
-      // Drain the cursor. An exception from one index must not stop
-      // the drain: remaining trials still run, and run() rethrows one
-      // captured exception after the batch completes.
-      std::exception_ptr error;
-      for (;;) {
-        const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) break;
-        try {
-          (*job)(i);
-        } catch (...) {
-          if (!error) error = std::current_exception();
-        }
-      }
-
-      mu_.lock();
-      if (error && !first_error_) first_error_ = error;
-      ++checked_in_;
-      if (checked_in_ == worker_count_) done_cv_.notify_one();
-    }
-    mu_.unlock();
-  }
-
-  const std::size_t worker_count_;
-  core::Mutex mu_;
-  // condition_variable_any: the annotated core::Mutex is the lockable.
-  std::condition_variable_any work_cv_;
-  std::condition_variable_any done_cv_;
-  const std::function<void(std::size_t)>* job_ GUARDED_BY(mu_) = nullptr;
-  std::size_t job_count_ GUARDED_BY(mu_) = 0;
-  std::uint64_t batch_id_ GUARDED_BY(mu_) = 0;
-  std::size_t checked_in_ GUARDED_BY(mu_) = 0;
-  bool batch_active_ GUARDED_BY(mu_) = false;
-  bool stop_ GUARDED_BY(mu_) = false;
-  std::exception_ptr first_error_ GUARDED_BY(mu_);
-  std::atomic<std::size_t> next_{0};
-  std::vector<std::thread> threads_;  // written only by ctor/dtor thread
-};
-
 Runner::Runner(std::size_t threads) : threads_(threads) {
   if (threads_ == 0) {
     threads_ = std::thread::hardware_concurrency();
     if (threads_ == 0) threads_ = 1;
   }
-  if (threads_ > 1) pool_ = std::make_unique<Pool>(threads_);
 }
-
-Runner::~Runner() = default;
 
 void Runner::for_each(std::size_t count,
                       const std::function<void(std::size_t)>& fn) const {
-  if (count == 0) return;
-  if (!pool_ || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
+  // One worker's first failure. The cursor only moves forward, so it is
+  // also that worker's lowest failing index.
+  struct Failure {
+    std::size_t index = std::numeric_limits<std::size_t>::max();
+    std::exception_ptr error;
+  };
+  const std::size_t workers = std::min(threads_, count);
+  if (workers == 0) return;
+  std::atomic<std::size_t> next{0};
+  std::vector<Failure> failures(workers);
+  const auto drain = [&](Failure& failure) {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      try {
+        fn(i);
+      } catch (...) {
+        if (!failure.error) failure = {i, std::current_exception()};
+      }
+    }
+  };
+  {
+    // Declared after everything drain() touches, so an exception while
+    // starting helpers still joins the started ones first.
+    std::vector<std::jthread> helpers;
+    helpers.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) {
+      helpers.emplace_back(drain, std::ref(failures[w]));
+    }
+    drain(failures[0]);
   }
-  pool_->run(count, fn);
+  const Failure& first = *std::min_element(
+      failures.begin(), failures.end(),
+      [](const Failure& a, const Failure& b) { return a.index < b.index; });
+  if (first.error) std::rethrow_exception(first.error);
 }
 
 }  // namespace spider::exp

@@ -1,27 +1,23 @@
 #pragma once
 // Deterministic parallel experiment runner. A sweep is a list of
 // independent trials (scheme x topology x seed); the runner fans them
-// out across a persistent fixed-size thread pool. Every trial derives
-// its own RNG seed from (base_seed, index) via derive_seed(), each
-// worker writes only its own result slot, and results come back in
+// out over threads that live only for one for_each call. Every trial
+// derives its own RNG seed from (base_seed, index) via derive_seed(),
+// each worker writes only its own result slot, and results come back in
 // trial-index order -- so a sweep's output is bit-identical whether it
 // ran on 1 thread or 16, in any execution order.
 //
-// Concurrency contract (DESIGN.md §11): the pool is the codebase's one
-// concurrency primitive. All of its shared state is GUARDED_BY the
-// pool mutex (clang -Wthread-safety checks this; see
-// core/thread_annotations.hpp), work distribution is a single atomic
-// cursor, and callbacks must be chunk-pure -- a callback may read
-// shared immutable state and write only through its own index.
+// Concurrency contract (DESIGN.md §11): threads exist only inside one
+// for_each call and share only its atomic work cursor and their own
+// failure slots; there is no mutex. Callbacks must be chunk-pure -- a
+// callback may read shared immutable state and write only through its
+// own index.
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
-
-#include "core/thread_annotations.hpp"
 
 namespace spider::exp {
 
@@ -34,22 +30,19 @@ namespace spider::exp {
 
 class Runner {
  public:
-  /// `threads` = 0 picks std::thread::hardware_concurrency(). With
-  /// more than one thread the worker pool starts here and lives until
-  /// destruction; with one thread every call runs inline.
+  /// `threads` = 0 picks std::thread::hardware_concurrency(). No thread
+  /// starts here: each for_each call starts its own.
   explicit Runner(std::size_t threads = 0);
-  ~Runner();
-  Runner(const Runner&) = delete;
-  Runner& operator=(const Runner&) = delete;
 
   [[nodiscard]] std::size_t threads() const { return threads_; }
 
-  /// Calls fn(i) exactly once for every i in [0, count), distributing
-  /// calls over the pool. Blocks until all calls finish. If any call
-  /// throws, one of the thrown exceptions is rethrown here after the
-  /// batch drains. Reentrant calls (fn itself calling for_each on this
-  /// runner) and calls racing from a second caller thread run inline
-  /// serially instead of deadlocking on the single batch slot.
+  /// Calls fn(i) exactly once for every i in [0, count), on the calling
+  /// thread plus min(threads(), count) - 1 threads started for this
+  /// call, and joins them before returning. A throwing call does not
+  /// stop the others; afterwards the exception of the lowest failing
+  /// index is rethrown, so the error is the same at any thread count.
+  /// fn may itself call for_each (on this runner or another): nothing
+  /// is shared between calls.
   void for_each(std::size_t count,
                 const std::function<void(std::size_t)>& fn) const;
 
@@ -67,9 +60,7 @@ class Runner {
   }
 
  private:
-  struct Pool;  // annotated worker-pool state, defined in runner.cpp
   std::size_t threads_;
-  std::unique_ptr<Pool> pool_;  // engaged iff threads_ > 1
 };
 
 }  // namespace spider::exp

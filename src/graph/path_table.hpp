@@ -5,7 +5,7 @@
 // (sim::PacketSimulator, schemes::PathCache).
 //
 // Pure data -- this header lives in graph/ so the simulators can depend
-// on it without pulling in the exp::Runner thread pool. Pairs are kept
+// on it without pulling in exp::Runner. Pairs are kept
 // sorted by (src, dst); find() is a binary search returning a span over
 // the concatenated path store.
 

@@ -14,6 +14,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -65,6 +66,43 @@ TEST(Runner, PropagatesExceptions) {
                         if (i == 5) throw std::runtime_error("trial 5 died");
                       }),
       std::runtime_error);
+}
+
+TEST(Runner, NestedForEachVisitsEveryIndexOnce) {
+  const exp::Runner runner(3);
+  constexpr std::size_t kOuter = 6;
+  constexpr std::size_t kInner = 9;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  runner.for_each(kOuter, [&](std::size_t i) {
+    runner.for_each(kInner, [&](std::size_t j) { ++hits[i * kInner + j]; });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(Runner, RethrowsTheLowestFailingIndexAtAnyThreadCount) {
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    std::vector<std::atomic<int>> hits(8);
+    try {
+      exp::Runner(threads).for_each(hits.size(), [&](std::size_t i) {
+        ++hits[i];
+        if (i == 3 || i == 5) throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "3") << threads << " threads";
+    }
+    // A failing index does not stop the others.
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << threads << " threads";
+  }
+}
+
+TEST(Runner, StartsNoMoreThreadsThanIndices) {
+  const exp::Runner runner(std::size_t{1} << 20);
+  EXPECT_EQ(runner.threads(), std::size_t{1} << 20);
+  std::vector<std::thread::id> ids(3);
+  runner.for_each(ids.size(),
+                  [&](std::size_t i) { ids[i] = std::this_thread::get_id(); });
+  EXPECT_LE(std::set<std::thread::id>(ids.begin(), ids.end()).size(), 3u);
 }
 
 TEST(Runner, DerivedSeedsAreStableAndWellSeparated) {

@@ -4,22 +4,19 @@
 The simulator's published numbers rest on a contract the compiler cannot
 see: same-seed runs are bit-for-bit deterministic, no code path depends
 on iteration order, wall-clock time, or platform randomness, and no
-shared mutable state exists outside the annotated worker-pool
-internals. This linter enforces the mechanical
-half of that contract over `src/`, `bench/`, and `examples/` (see
-tools/lint/lint_rules.md for the rule catalogue and DESIGN.md §7/§11 for
-the policy).
+shared mutable state exists outside one exp::Runner call's work
+cursor. This linter enforces the mechanical half of that contract over
+`src/`, `bench/`, and `examples/` (see tools/lint/lint_rules.md for the
+rule catalogue and DESIGN.md §7/§11 for the policy).
 
 Two layers run on every invocation:
 
   * line-local rules (unordered-container, nondet-random, wall-clock,
     float-accum, ptr-key-order, hot-loop-alloc, fault-sampling), regex
     over one line at a time;
-  * multi-pass rules (mutable-global, rng-seed, runner-capture,
-    guarded-by) that first build a lightweight repo-wide symbol index
-    (brace-scope map per file, GUARDED_BY annotations, Runner-typed
-    variables) and then check each file against it. The index summary
-    can be cached across runs with --index-cache.
+  * multi-pass rules (mutable-global, rng-seed, runner-capture) that
+    first map each file's brace scopes and Runner-typed variables and
+    then check the file against that map.
 
 Zero dependencies beyond the Python 3 standard library; regex-driven on
 purpose -- it runs in well under a second over the whole tree and never
@@ -39,8 +36,9 @@ Exit status: 0 when clean, 1 when any finding fired, 2 on usage errors.
 
 Suppression: append `// spider-lint: allow(<rule>)` to the offending
 line, or put it alone on the line directly above. Every suppression
-should carry a human-readable justification next to it;
---audit-suppressions lists them all and calls out bare markers.
+should carry a human-readable justification after it or in the comment
+lines directly above; --audit-suppressions lists them all and calls out
+bare markers.
 """
 
 from __future__ import annotations
@@ -107,26 +105,8 @@ SEED_FLOW_RE = re.compile(r"derive_seed|seed|Seed|SEED|salt")
 
 # -- multi-pass regexes ------------------------------------------------
 
-# `<type> <field> GUARDED_BY(<mutex>)` annotation on a declaration.
-GUARDED_BY_RE = re.compile(r"\b([A-Za-z_]\w*)\s+GUARDED_BY\s*\(\s*(\w+)\s*\)")
-# RAII lock scopes over std or spider mutex wrappers.
-LOCK_RAII_RE = re.compile(
-    r"\b(?:std::)?(?:lock_guard|unique_lock|scoped_lock)\s*"
-    r"(?:<[^;>]*>)?\s+\w+\s*[({]\s*(\w+)"
-    r"|\b(?:core::)?MutexLock\s+\w+\s*[({]\s*&?\s*(\w+)"
-)
-EXPLICIT_LOCK_RE = re.compile(r"\b(\w+)\s*(?:\.|->)\s*lock\s*\(\s*\)")
-EXPLICIT_UNLOCK_RE = re.compile(r"\b(\w+)\s*(?:\.|->)\s*unlock\s*\(\s*\)")
-# Member-style writes (house style: trailing-underscore members, or
-# explicit this->). Group: the field name.
-MEMBER_WRITE_RE = re.compile(
-    r"(?:\+\+|--)\s*(?:this\s*->\s*)?([A-Za-z_]\w*_)\b"
-    r"|\b(?:this\s*->\s*)?([A-Za-z_]\w*_)\s*(?:\+\+|--)"
-    r"|\b(?:this\s*->\s*)?([A-Za-z_]\w*_)\s*(?:[+\-*/|&^]|<<|>>)?=(?!=)"
-)
-# Variables declared (anywhere in the indexed tree) with type
-# exp::Runner / Runner, by value or reference. Both alternations below
-# capture the variable name.
+# Variables declared in the linted file with type exp::Runner / Runner,
+# by value or reference. Group 1 is the variable name.
 RUNNER_VAR_RE = re.compile(
     r"\b(?:exp::)?Runner\s*&?\s+([A-Za-z_]\w*)\s*[;({=,)]"
 )
@@ -263,19 +243,9 @@ RULES = [
         "by-reference capture without indexing by the chunk parameter: "
         "chunks race on it and byte-identity across thread counts dies",
     ),
-    Rule(
-        "guarded-by",
-        "field assigned under a lock scope but not declared "
-        "GUARDED_BY(<mutex>): the clang thread-safety analysis cannot "
-        "see it (core/thread_annotations.hpp)",
-    ),
 ]
 
 RULE_NAMES = {r.name for r in RULES}
-
-# Rules whose findings come from the index-backed passes, not the
-# per-line scan.
-MULTI_PASS_RULES = {"mutable-global", "rng-seed", "runner-capture", "guarded-by"}
 
 SUGGESTIONS = {
     "mutable-global": "move the state into a config/struct passed by "
@@ -287,9 +257,6 @@ SUGGESTIONS = {
     "(`out[i] = ...`), or make the capture const; if the write is "
     "provably chunk-private add "
     "`// spider-lint: allow(runner-capture) <why safe>`",
-    "guarded-by": "annotate the declaration: "
-    "`<type> <field> GUARDED_BY(<mutex>);` "
-    "(include core/thread_annotations.hpp)",
 }
 
 
@@ -391,16 +358,14 @@ def classify_head(head: str, parent: str) -> str:
 
 
 class ScopeMap:
-    """Per-line scope kind + brace depth, from a single forward pass."""
+    """Per-line scope kind, from a single forward pass."""
 
     def __init__(self, code_lines: list[str]):
         self.kind_at: list[str] = []  # scope kind at the START of each line
-        self.depth_at: list[int] = []  # brace depth at the START of each line
         stack: list[str] = []
         head = ""
         for code in code_lines:
             self.kind_at.append(stack[-1] if stack else KIND_NAMESPACE)
-            self.depth_at.append(len(stack))
             for ch in code:
                 if ch == "{":
                     stack.append(classify_head(head, stack[-1] if stack else KIND_NAMESPACE))
@@ -414,90 +379,6 @@ class ScopeMap:
                 else:
                     head += ch
             head += " "
-
-
-# -- symbol index ------------------------------------------------------
-
-
-class FileSummary(NamedTuple):
-    """What the cross-TU passes need to know about one file."""
-
-    guarded_fields: list[str]  # field names annotated GUARDED_BY(...)
-    runner_vars: list[str]  # variables declared with type (exp::)Runner
-
-
-def summarize_file(code_lines: list[str]) -> FileSummary:
-    guarded: list[str] = []
-    runner_vars: list[str] = []
-    for code in code_lines:
-        for m in GUARDED_BY_RE.finditer(code):
-            guarded.append(m.group(1))
-        # Skip the macro definition itself and ctor/call sites; a
-        # declaration line is `Runner name...` / `Runner& name...`.
-        for m in RUNNER_VAR_RE.finditer(code):
-            runner_vars.append(m.group(1))
-    return FileSummary(sorted(set(guarded)), sorted(set(runner_vars)))
-
-
-class SymbolIndex:
-    """Repo-wide facts the per-file passes check against. Built from
-    every file handed to the linter; optionally cached (keyed on
-    mtime+size) so a warm CI run skips re-summarizing unchanged
-    files."""
-
-    def __init__(self) -> None:
-        self.guarded_fields: set[str] = set()
-        self.runner_vars: set[str] = {"runner", "runner_"}  # house names
-        self.cache: dict[str, dict] = {}
-        self.cache_dirty = False
-
-    def load_cache(self, path: str) -> None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                self.cache = json.load(fh)
-        except (OSError, ValueError):
-            self.cache = {}
-
-    def save_cache(self, path: str) -> None:
-        if not self.cache_dirty:
-            return
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(self.cache, fh)
-        except OSError as e:
-            print(f"spider_lint: cannot write index cache {path}: {e}",
-                  file=sys.stderr)
-
-    def add_file(self, path: str, code_lines: list[str] | None) -> None:
-        """Folds one file into the index. `code_lines` may be None when
-        the caller wants cache-only resolution (it is re-read on miss)."""
-        key = os.path.abspath(path)
-        try:
-            st = os.stat(path)
-            stamp = [st.st_mtime_ns, st.st_size]
-        except OSError:
-            stamp = [0, 0]
-        entry = self.cache.get(key)
-        if entry is not None and entry.get("stamp") == stamp:
-            summary = FileSummary(entry["guarded"], entry["runner_vars"])
-        else:
-            if code_lines is None:
-                try:
-                    with open(path, encoding="utf-8") as fh:
-                        text = fh.read()
-                except OSError:
-                    return
-                code_lines = [strip_comments_and_strings(l)
-                              for l in text.splitlines()]
-            summary = summarize_file(code_lines)
-            self.cache[key] = {
-                "stamp": stamp,
-                "guarded": summary.guarded_fields,
-                "runner_vars": summary.runner_vars,
-            }
-            self.cache_dirty = True
-        self.guarded_fields.update(summary.guarded_fields)
-        self.runner_vars.update(summary.runner_vars)
 
 
 # -- per-line linter (layer 1) ----------------------------------------
@@ -751,15 +632,19 @@ WRITE_NAME_KEYWORDS = frozenset(
 
 
 class MultiPassAnalyzer:
-    """Index-backed passes over one file: mutable-global, rng-seed,
-    runner-capture, guarded-by."""
+    """Scope-aware passes over one file: mutable-global, rng-seed,
+    runner-capture."""
 
-    def __init__(self, path: str, text: str, index: SymbolIndex):
+    def __init__(self, path: str, text: str):
         self.path = path
-        self.index = index
         self.raw_lines = text.splitlines()
         self.code_lines = [strip_comments_and_strings(l) for l in self.raw_lines]
         self.scope = ScopeMap(self.code_lines)
+        # Every runner is declared or received in the file that fans out
+        # over it; `runner` / `runner_` are the house names.
+        self.runner_vars = {"runner", "runner_"}
+        for code in self.code_lines:
+            self.runner_vars.update(RUNNER_VAR_RE.findall(code))
         self.findings: list[Finding] = []
         norm = path.replace(os.sep, "/")
         self.basename = os.path.basename(norm)
@@ -776,7 +661,6 @@ class MultiPassAnalyzer:
         self.pass_mutable_global()
         self.pass_rng_seed()
         self.pass_runner_capture()
-        self.pass_guarded_by()
         return self.findings
 
     # -- rule: mutable-global -----------------------------------------
@@ -903,7 +787,7 @@ class MultiPassAnalyzer:
         for i, code in enumerate(self.code_lines):
             for m in RUNNER_CALL_RE.finditer(code):
                 receiver = m.group(1)
-                if receiver not in self.index.runner_vars:
+                if receiver not in self.runner_vars:
                     continue
                 self.check_runner_lambda(i, m.end())
 
@@ -983,59 +867,29 @@ class MultiPassAnalyzer:
                     "its chunk parameter: chunks race on it",
                 )
 
-    # -- rule: guarded-by ---------------------------------------------
-
-    def pass_guarded_by(self) -> None:
-        raii_locks: list[int] = []  # brace depths of active RAII locks
-        explicit_locks: dict[str, int] = {}  # name -> depth acquired at
-        depth = 0
-        for i, code in enumerate(self.code_lines):
-            depth = self.scope.depth_at[i]
-            # Expire locks whose enclosing block closed before this
-            # line: an RAII lock declared at depth d covers lines at
-            # depth >= d until the block's closing brace.
-            raii_locks = [d for d in raii_locks if depth >= d]
-            explicit_locks = {n: d for n, d in explicit_locks.items()
-                              if depth >= d}
-            if LOCK_RAII_RE.search(code):
-                raii_locks.append(depth)
-            for m in EXPLICIT_LOCK_RE.finditer(code):
-                explicit_locks[m.group(1)] = depth
-            in_lock = bool(raii_locks) or bool(explicit_locks)
-            if in_lock:
-                self.check_guarded_writes(i, code)
-            for m in EXPLICIT_UNLOCK_RE.finditer(code):
-                explicit_locks.pop(m.group(1), None)
-
-    def check_guarded_writes(self, i: int, code: str) -> None:
-        for m in MEMBER_WRITE_RE.finditer(code):
-            name = m.group(1) or m.group(2) or m.group(3)
-            if name is None:
-                continue
-            if name in self.index.guarded_fields:
-                continue
-            before = code[:m.start()].rstrip()
-            if COMPARE_GUARD_RE.search(before):
-                continue
-            self.report(
-                i,
-                "guarded-by",
-                f"field '{name}' assigned under a lock scope but not "
-                "declared GUARDED_BY(<mutex>); clang -Wthread-safety "
-                "cannot check it",
-                suggestion=f"declare `... {name} GUARDED_BY(<mutex>);` "
-                "at the field declaration "
-                "(core/thread_annotations.hpp)",
-            )
-
 
 # -- suppression audit -------------------------------------------------
 
 
+def comment_above(lines: list[str], i: int) -> str:
+    """The prose of the `//` comment lines directly above line i (a
+    marker line ends the block), joined into one line."""
+    block: list[str] = []
+    j = i - 1
+    while j >= 0:
+        above = lines[j].strip()
+        if not above.startswith("//") or ALLOW_RE.search(above):
+            break
+        block.insert(0, above.lstrip("/").strip())
+        j -= 1
+    return " ".join(t for t in block if t)
+
+
 def audit_suppressions(paths: list[str]) -> int:
-    """Lists every `spider-lint: allow(...)` marker with its rationale.
-    A marker whose line (or marker comment) carries no prose beyond the
-    rule list is flagged as NO RATIONALE. Always exits 0."""
+    """Lists every `spider-lint: allow(...)` marker with its rationale:
+    prose after the rule list, before the marker in its comment, or in
+    the comment lines directly above. A marker with none of these is
+    flagged as NO RATIONALE. Always exits 0."""
     rows: list[tuple[str, int, str, str]] = []
     for path in iter_cpp_files(paths):
         try:
@@ -1057,6 +911,8 @@ def audit_suppressions(paths: list[str]) -> int:
                 # Drop any code before the comment; prose only.
                 if "//" in raw[:m.start()]:
                     rationale = head.split("//")[-1].strip()
+            if not rationale:
+                rationale = comment_above(lines, i)
             rows.append((path, i + 1, rules, rationale))
     bare = 0
     for path, line, rules, rationale in rows:
@@ -1136,14 +992,11 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--json", metavar="FILE",
                     help="also write a machine-readable findings report")
     ap.add_argument("--fix-suggestions", action="store_true",
-                    help="print the exact annotation/suppression to add for "
-                    "each finding")
+                    help="print the fix or suppression to add for each "
+                    "finding")
     ap.add_argument("--audit-suppressions", action="store_true",
                     help="list every `spider-lint: allow` marker with its "
                     "rationale and exit 0")
-    ap.add_argument("--index-cache", metavar="FILE",
-                    help="cache the cross-TU symbol index here (keyed on "
-                    "mtime+size) to skip re-summarizing unchanged files")
     args = ap.parse_args(argv)
 
     if args.list_rules:
@@ -1161,11 +1014,8 @@ def main(argv: list[str]) -> int:
     if args.audit_suppressions:
         return audit_suppressions(paths)
 
-    # Pass 1: read every file once; build the cross-TU symbol index.
-    index = SymbolIndex()
-    if args.index_cache:
-        index.load_cache(args.index_cache)
-    files: list[tuple[str, str]] = []
+    findings: list[Finding] = []
+    file_count = 0
     for path in iter_cpp_files(paths):
         try:
             with open(path, encoding="utf-8") as fh:
@@ -1173,17 +1023,9 @@ def main(argv: list[str]) -> int:
         except OSError as e:
             print(f"spider_lint: cannot read {path}: {e}", file=sys.stderr)
             return 2
-        files.append((path, text))
-        index.add_file(path, [strip_comments_and_strings(l)
-                              for l in text.splitlines()])
-    if args.index_cache:
-        index.save_cache(args.index_cache)
-
-    # Pass 2: per-line rules + index-backed rules, file by file.
-    findings: list[Finding] = []
-    for path, text in files:
+        file_count += 1
         findings.extend(FileLinter(path, text).lint())
-        findings.extend(MultiPassAnalyzer(path, text, index).lint())
+        findings.extend(MultiPassAnalyzer(path, text).lint())
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
 
     for f in findings:
@@ -1191,9 +1033,9 @@ def main(argv: list[str]) -> int:
         if args.fix_suggestions and f.suggestion:
             print(f"    fix: {f.suggestion}")
     if args.json:
-        write_json_report(args.json, findings, len(files))
+        write_json_report(args.json, findings, file_count)
     status = "clean" if not findings else f"{len(findings)} finding(s)"
-    print(f"spider_lint: {len(files)} file(s), {status}", file=sys.stderr)
+    print(f"spider_lint: {file_count} file(s), {status}", file=sys.stderr)
     return 1 if findings else 0
 
 
