@@ -14,45 +14,6 @@ Channel::Channel(Amount deposit_a, Amount deposit_b)
   }
 }
 
-std::optional<HtlcId> Channel::offer_htlc(Side side, Amount amount,
-                                          LockHash lock) {
-  if (amount <= 0) return std::nullopt;
-  const int s = static_cast<int>(side);
-  if (balance_[s] < amount) return std::nullopt;
-  balance_[s] -= amount;
-  pending_[s] += amount;
-  const SlabHandle h = htlcs_.acquire();
-  *htlcs_.get(h) = Htlc{side, amount, lock};
-  assert(conserves_funds());
-  return h.packed();
-}
-
-bool Channel::settle_htlc(HtlcId id, Preimage key) {
-  const SlabHandle h = SlabHandle::unpack(id);
-  const Htlc* htlc = htlcs_.get(h);
-  if (htlc == nullptr) return false;
-  if (!unlocks(key, htlc->lock)) return false;
-  const int offerer = static_cast<int>(htlc->offerer);
-  const int receiver = static_cast<int>(opposite(htlc->offerer));
-  pending_[offerer] -= htlc->amount;
-  balance_[receiver] += htlc->amount;
-  htlcs_.release(h);
-  assert(conserves_funds());
-  return true;
-}
-
-bool Channel::fail_htlc(HtlcId id) {
-  const SlabHandle h = SlabHandle::unpack(id);
-  const Htlc* htlc = htlcs_.get(h);
-  if (htlc == nullptr) return false;
-  const int offerer = static_cast<int>(htlc->offerer);
-  pending_[offerer] -= htlc->amount;
-  balance_[offerer] += htlc->amount;
-  htlcs_.release(h);
-  assert(conserves_funds());
-  return true;
-}
-
 void Channel::deposit(Side side, Amount amount) {
   if (amount <= 0) {
     throw std::invalid_argument("Channel::deposit: amount must be > 0");

@@ -7,16 +7,18 @@
 // provides the key for the hash lock", Fig. 3). Settling an HTLC moves
 // the hold to the *other* side's balance; failing it returns the hold.
 //
+// A Channel holds only totals: balances, pending holds, escrow and its
+// in-flight HTLC count. The HTLC records live in ChannelNetwork's book,
+// the only code that moves funds between a balance and a pending hold.
+//
 // Class invariant (checked in debug builds and by the test suite):
 //     balance(0) + balance(1) + sum(pending holds) == total escrow
 // No operation can mint or destroy milli-units.
 
 #include <cassert>
 #include <cstdint>
-#include <optional>
 
 #include "core/htlc.hpp"
-#include "core/slab.hpp"
 #include "core/types.hpp"
 
 namespace spider::core {
@@ -28,8 +30,8 @@ enum class Side : std::uint8_t { kA = 0, kB = 1 };
   return s == Side::kA ? Side::kB : Side::kA;
 }
 
-/// Identifier for an in-flight HTLC within one channel: a packed
-/// generation-checked slab handle. Opaque to callers; 0 is never a
+/// Identifier for an in-flight HTLC: a packed generation-checked handle
+/// into the ChannelNetwork's book. Opaque to callers; 0 is never a
 /// valid id, and ids of settled/failed HTLCs are detected as stale.
 using HtlcId = std::uint64_t;
 
@@ -52,22 +54,8 @@ class Channel {
   /// Total funds in the channel (constant unless `deposit` is called).
   [[nodiscard]] Amount total() const { return total_; }
 
-  /// Offers an HTLC of `amount` from `side`, locked under `lock`.
-  /// Returns the HTLC id, or nullopt if `side` lacks spendable balance
-  /// (the unit must then queue -- paper Fig. 3) or amount <= 0.
-  std::optional<HtlcId> offer_htlc(Side side, Amount amount, LockHash lock);
-
-  /// Settles an HTLC with the preimage: the hold moves to the other
-  /// side's spendable balance. Returns false (state unchanged) if the id
-  /// is unknown or the key does not match the lock.
-  bool settle_htlc(HtlcId id, Preimage key);
-
-  /// Cancels an HTLC (deadline passed / upstream failure): the hold
-  /// returns to the offering side. False if unknown.
-  bool fail_htlc(HtlcId id);
-
-  /// Number of HTLCs currently in flight.
-  [[nodiscard]] std::size_t inflight_count() const { return htlcs_.live(); }
+  /// Number of HTLCs currently in flight on this channel.
+  [[nodiscard]] std::size_t inflight_count() const { return inflight_; }
 
   /// On-chain top-up: `side` deposits `amount` new escrowed funds
   /// (rebalancing, §5.2.3).
@@ -85,16 +73,12 @@ class Channel {
   }
 
  private:
-  struct Htlc {
-    Side offerer;
-    Amount amount;
-    LockHash lock;
-  };
+  friend class ChannelNetwork;  // offers, settles and fails HTLCs
 
   Amount balance_[2];
   Amount pending_[2] = {0, 0};
   Amount total_;
-  Slab<Htlc> htlcs_;  // HtlcId == packed slab handle
+  std::uint32_t inflight_ = 0;
 };
 
 }  // namespace spider::core

@@ -37,7 +37,6 @@ Amount ChannelNetwork::path_available(const Path& path) const {
 std::optional<RouteLock> ChannelNetwork::lock_route(const Path& path,
                                                     Amount amount,
                                                     LockHash lock) {
-  if (amount <= 0 || path.arcs.empty()) return std::nullopt;
   const std::vector<Amount> amounts(path.arcs.size(), amount);
   return lock_route_with_fees(path, amounts, lock);
 }
@@ -60,13 +59,11 @@ std::optional<RouteLock> ChannelNetwork::lock_route_with_fees(
   rl.htlcs.reserve(path.arcs.size());
   for (const Amount a : amounts) rl.total_held += a;
   for (std::size_t i = 0; i < path.arcs.size(); ++i) {
-    const ArcId a = path.arcs[i];
-    auto id = channels_[graph::edge_of(a)].offer_htlc(arc_side(a),
-                                                      amounts[i], lock);
+    const auto id = offer_htlc(path.arcs[i], amounts[i], lock);
     if (!id) {
       // Roll back the hops locked so far.
       for (std::size_t j = 0; j < rl.htlcs.size(); ++j) {
-        channels_[graph::edge_of(path.arcs[j])].fail_htlc(rl.htlcs[j]);
+        release(path.arcs[j], rl.htlcs[j], std::nullopt, /*raise=*/false);
       }
       return std::nullopt;
     }
@@ -75,29 +72,54 @@ std::optional<RouteLock> ChannelNetwork::lock_route_with_fees(
   return rl;
 }
 
+std::optional<HtlcId> ChannelNetwork::offer_htlc(ArcId a, Amount amount,
+                                                 LockHash lock) {
+  Channel& c = channels_[graph::edge_of(a)];
+  const int s = static_cast<int>(arc_side(a));
+  if (amount <= 0 || c.balance_[s] < amount) return std::nullopt;
+  c.balance_[s] -= amount;
+  c.pending_[s] += amount;
+  ++c.inflight_;
+  const SlabHandle h = book_.acquire();
+  *book_.get(h) = Htlc{a, amount, lock};
+  assert(c.conserves_funds());
+  return h.packed();
+}
+
+bool ChannelNetwork::release(ArcId a, HtlcId id, std::optional<Preimage> key,
+                             bool raise) {
+  const SlabHandle h = SlabHandle::unpack(id);
+  const Htlc* htlc = book_.get(h);
+  if (htlc == nullptr || htlc->arc != a) return false;
+  if (key && !unlocks(*key, htlc->lock)) return false;
+  Channel& c = channels_[graph::edge_of(a)];
+  const int offerer = static_cast<int>(arc_side(a));
+  c.pending_[offerer] -= htlc->amount;
+  c.balance_[key ? 1 - offerer : offerer] += htlc->amount;
+  --c.inflight_;
+  book_.release(h);
+  if (raise) ++raise_epoch_;
+  assert(c.conserves_funds());
+  return true;
+}
+
 bool ChannelNetwork::settle_route(const RouteLock& rl, Preimage key) {
   if (!unlocks(key, rl.lock)) return false;
-  ++raise_epoch_;
-  for (std::size_t i = 0; i < rl.path.arcs.size(); ++i) {
-    const bool ok =
-        channels_[graph::edge_of(rl.path.arcs[i])].settle_htlc(rl.htlcs[i],
-                                                               key);
-    if (!ok) {
-      throw std::logic_error(
-          "ChannelNetwork::settle_route: stale or double-settled route lock");
-    }
-  }
+  release_route(rl, key);
   return true;
 }
 
 void ChannelNetwork::fail_route(const RouteLock& rl) {
+  release_route(rl, std::nullopt);
+}
+
+void ChannelNetwork::release_route(const RouteLock& rl,
+                                   std::optional<Preimage> key) {
   ++raise_epoch_;
   for (std::size_t i = 0; i < rl.path.arcs.size(); ++i) {
-    const bool ok =
-        channels_[graph::edge_of(rl.path.arcs[i])].fail_htlc(rl.htlcs[i]);
-    if (!ok) {
+    if (!release(rl.path.arcs[i], rl.htlcs[i], key, /*raise=*/false)) {
       throw std::logic_error(
-          "ChannelNetwork::fail_route: stale or double-failed route lock");
+          "ChannelNetwork: stale or double-released route lock");
     }
   }
 }

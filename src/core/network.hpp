@@ -1,8 +1,12 @@
 #pragma once
-// ChannelNetwork: the data plane -- one Channel per topology edge, with
-// helpers to lock/settle/fail HTLCs along multi-hop routes. Both the
-// flow-level simulator (paper §6 semantics) and the packet-level Spider
-// architecture drive this shared state.
+// ChannelNetwork: the data plane -- one Channel per topology edge, the
+// book of every in-flight HTLC, and helpers to lock/settle/fail HTLCs
+// along multi-hop routes. Both the flow-level simulator (paper §6
+// semantics) and the packet-level Spider architecture drive this shared
+// state. The book is one generation-checked Slab: an HtlcId is a handle
+// into it and each record names the arc it locks, so a stale id, a wrong
+// key or another arc's id is refused (exactly-once release, DESIGN.md
+// §17).
 
 #include <cstdint>
 #include <optional>
@@ -10,6 +14,7 @@
 #include <vector>
 
 #include "core/channel.hpp"
+#include "core/slab.hpp"
 #include "core/types.hpp"
 #include "graph/graph.hpp"
 
@@ -17,6 +22,13 @@ namespace spider::core {
 
 using graph::Graph;
 using graph::Path;
+
+/// One in-flight HTLC in the network's book.
+struct Htlc {
+  ArcId arc = 0;  // edge_of(arc) is the channel, arc_side(arc) the offerer
+  Amount amount = 0;
+  LockHash lock = 0;
+};
 
 /// Handle for funds locked hop-by-hop along a route (one HTLC per hop).
 struct RouteLock {
@@ -44,21 +56,15 @@ class ChannelNetwork {
 
   [[nodiscard]] const Graph& graph() const { return *graph_; }
 
-  /// Mutable channel access. The caller may settle, fail or deposit
-  /// through it, so it bumps the raise epoch.
-  [[nodiscard]] Channel& channel(EdgeId e) {
-    ++raise_epoch_;
-    return channels_.at(e);
-  }
   [[nodiscard]] const Channel& channel(EdgeId e) const {
     return channels_.at(e);
   }
 
   /// Raise epoch: a counter bumped by every operation that can raise
-  /// some arc's spendable balance -- settle_route, fail_route, deposit
-  /// and mutable channel() access. Locks only lower balances, so while
-  /// the epoch is unchanged a path whose bottleneck was zero is still
-  /// dry. Routing schemes memoise dry pairs on it (sim/scheme.hpp).
+  /// some arc's spendable balance -- settle_htlc, fail_htlc,
+  /// settle_route, fail_route and deposit. Locks only lower balances,
+  /// so while the epoch is unchanged a path whose bottleneck was zero is
+  /// still dry. Routing schemes memoise dry pairs on it (sim/scheme.hpp).
   [[nodiscard]] std::uint64_t raise_epoch() const { return raise_epoch_; }
 
   /// Moves the raise epoch forward to `epoch` (no-op when it is not
@@ -81,6 +87,30 @@ class ChannelNetwork {
 
   /// Bottleneck spendable balance along `path` (max sendable right now).
   [[nodiscard]] Amount path_available(const Path& path) const;
+
+  /// Offers an HTLC of `amount` along arc `a`, from the side owning the
+  /// arc's tail, locked under `lock`. Returns its id, or nullopt if that
+  /// side lacks spendable balance (the unit must then queue -- paper
+  /// Fig. 3) or amount <= 0.
+  std::optional<HtlcId> offer_htlc(ArcId a, Amount amount, LockHash lock);
+
+  /// Settles HTLC `id` of arc `a` with the preimage: the hold moves to
+  /// the other side's spendable balance. Returns false (state unchanged)
+  /// if the id is stale or was offered on another arc, or the key does
+  /// not match the lock.
+  bool settle_htlc(ArcId a, HtlcId id, Preimage key) {
+    return release(a, id, key, /*raise=*/true);
+  }
+
+  /// Cancels HTLC `id` of arc `a` (deadline passed / upstream failure):
+  /// the hold returns to the offering side. False if stale or offered on
+  /// another arc.
+  bool fail_htlc(ArcId a, HtlcId id) {
+    return release(a, id, std::nullopt, /*raise=*/true);
+  }
+
+  /// Every in-flight HTLC (sim::InvariantAuditor sums it per arc).
+  [[nodiscard]] const Slab<Htlc>& htlc_book() const { return book_; }
 
   /// Locks `amount` along every hop of `path` under `lock`, all-or-
   /// nothing: on any hop failure the partial locks are rolled back and
@@ -123,8 +153,16 @@ class ChannelNetwork {
   }
 
  private:
+  /// Releases HTLC `id` of arc `a`: to the receiving side under a
+  /// matching `key`, back to the offerer without one. Bumps the raise
+  /// epoch only if `raise` (route calls bump once; rollback never does).
+  bool release(ArcId a, HtlcId id, std::optional<Preimage> key, bool raise);
+  /// Releases every hop of `rl`; throws if any hop was already released.
+  void release_route(const RouteLock& rl, std::optional<Preimage> key);
+
   const Graph* graph_;
   std::vector<Channel> channels_;
+  Slab<Htlc> book_;  // HtlcId == packed handle
   std::uint64_t raise_epoch_ = 0;
 };
 

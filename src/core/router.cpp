@@ -102,18 +102,14 @@ const UnitQueue* Router::find_queue(ArcId a) const {
   return i == npos ? nullptr : &queues_[i];
 }
 
-std::vector<QueuedUnit> Router::drop_expired(TimePoint now) {
-  std::vector<QueuedUnit> expired;
-  if (units_ == 0) return expired;
-  for (UnitQueue& q : queues_) {
-    auto dropped = q.drop_expired(now);
-    for (const QueuedUnit& u : dropped) {
-      --units_;
-      amount_ -= u.amount;
-    }
-    expired.insert(expired.end(), dropped.begin(), dropped.end());
+void Router::drop_expired(TimePoint now, std::vector<QueuedUnit>& expired) {
+  if (units_ == 0) return;
+  const std::size_t first = expired.size();
+  for (UnitQueue& q : queues_) q.drop_expired(now, expired);
+  for (std::size_t i = first; i < expired.size(); ++i) {
+    --units_;
+    amount_ -= expired[i].amount;
   }
-  return expired;
 }
 
 }  // namespace spider::core

@@ -94,10 +94,11 @@ class Router {
   /// Total value queued across all outgoing arcs. O(1).
   [[nodiscard]] Amount queued_amount() const { return amount_; }
 
-  /// Drops expired units from every queue and returns them. O(arc
-  /// count) when nothing expired (each queue early-outs on its tracked
-  /// minimum deadline); O(1) when this router queues nothing at all.
-  std::vector<QueuedUnit> drop_expired(TimePoint now);
+  /// Drops expired units from every queue and appends them to
+  /// `expired`. O(arc count) when nothing expired (each queue early-outs
+  /// on its tracked minimum deadline); O(1) when this router queues
+  /// nothing at all.
+  void drop_expired(TimePoint now, std::vector<QueuedUnit>& expired);
 
   /// Enables (or reconfigures) one-bit congestion marking for the bound
   /// arcs. Call after bind(); rebinding resets the estimator state.

@@ -66,9 +66,10 @@ void UnitQueue::update_remaining(PaymentId payment, Amount remaining) {
   if (changed) std::make_heap(items_.begin(), items_.end(), later());
 }
 
-std::vector<QueuedUnit> UnitQueue::drop_expired(TimePoint now) {
-  std::vector<QueuedUnit> expired;
-  if (min_deadline_ >= now) return expired;  // nothing can have expired
+void UnitQueue::drop_expired(TimePoint now,
+                             std::vector<QueuedUnit>& expired) {
+  if (min_deadline_ >= now) return;  // nothing can have expired
+  const std::size_t first = expired.size();
   TimePoint min_left = kNever;
   std::size_t kept = 0;
   for (std::size_t i = 0; i < items_.size(); ++i) {
@@ -80,15 +81,15 @@ std::vector<QueuedUnit> UnitQueue::drop_expired(TimePoint now) {
       items_[kept++] = items_[i];
     }
   }
-  if (!expired.empty()) {
+  if (kept != items_.size()) {
     items_.resize(kept);
     std::make_heap(items_.begin(), items_.end(), later());
     // Callers act on each expired unit in turn; hand them over in the
     // order the old priority-ordered container would have yielded.
-    std::sort(expired.begin(), expired.end(), PolicyOrder{policy_});
+    std::sort(expired.begin() + static_cast<std::ptrdiff_t>(first),
+              expired.end(), PolicyOrder{policy_});
   }
   min_deadline_ = min_left;
-  return expired;
 }
 
 void RetryRun::push(const QueuedUnit& u) {

@@ -90,11 +90,11 @@ class UnitQueue {
   /// elsewhere). No-op for other policies' ordering keys.
   void update_remaining(PaymentId payment, Amount remaining);
 
-  /// Removes and returns every item whose deadline is < `now`, in
-  /// priority order. O(1) when nothing can have expired (a conservative
-  /// minimum deadline is tracked across pushes); a full scan only runs
-  /// otherwise.
-  std::vector<QueuedUnit> drop_expired(TimePoint now);
+  /// Removes every item whose deadline is < `now` and appends them to
+  /// `expired` in priority order. O(1) when nothing can have expired (a
+  /// conservative minimum deadline is tracked across pushes); a full
+  /// scan only runs otherwise.
+  void drop_expired(TimePoint now, std::vector<QueuedUnit>& expired);
 
   [[nodiscard]] std::size_t size() const { return items_.size(); }
   [[nodiscard]] bool empty() const { return items_.empty(); }

@@ -2,17 +2,15 @@
 // Generation-checked slab allocator: O(1) acquire/release with stable
 // 32-bit indices and ABA-safe handles. The packet simulator keys its
 // in-flight transaction units by slab handle (a pool bump instead of a
-// hash insert per unit), and Channel keys its in-flight HTLCs the same
-// way. A handle packs to one 64-bit word, so it rides in the typed
-// event queue's payload unchanged.
+// hash insert per unit), and ChannelNetwork's one HTLC book keys every
+// in-flight HTLC of the network the same way. A handle packs to one
+// 64-bit word, so it rides in the typed event queue's payload unchanged.
 //
-// Slots live in chunks that grow geometrically: the first holds 16
-// slots and each later one twice as many as the one before. A slab so
-// costs memory in proportion to its peak live count (a channel with
-// three HTLCs in flight holds one 16-slot chunk), and a large one still
-// grows in O(log n) allocations. Indices are assigned sequentially with
-// a LIFO free list, independent of the chunk layout, so handles (and
-// every checksum built from them) do not depend on the chunk sizes.
+// Slots live in chunks that grow geometrically (16 slots, then twice
+// the previous chunk), so a slab costs memory in proportion to its peak
+// live count and grows in O(log n) allocations. Indices are assigned
+// sequentially with a LIFO free list, independent of the chunk layout,
+// so handles (and every checksum built from them) do not depend on it.
 //
 // Recycled slots keep their previous tenant's value object, so any
 // heap capacity it owned (e.g. a vector) is reused; the caller resets

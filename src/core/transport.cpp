@@ -72,8 +72,8 @@ const std::vector<TxUnit>& Transport::begin_payment(PaymentId id,
   return payments_[pos].units;
 }
 
-std::vector<KeyRelease> Transport::confirm_unit(TxUnitId unit, TimePoint now,
-                                                bool marked) {
+void Transport::confirm_unit(TxUnitId unit, TimePoint now, bool marked,
+                             std::vector<KeyRelease>& releases) {
   OutPayment* found = find_payment(unit.payment);
   if (found == nullptr) {
     throw std::invalid_argument("Transport::confirm_unit: unknown payment");
@@ -82,10 +82,10 @@ std::vector<KeyRelease> Transport::confirm_unit(TxUnitId unit, TimePoint now,
   if (unit.seq >= op.units.size()) {
     throw std::invalid_argument("Transport::confirm_unit: bad seq");
   }
-  if (op.confirmed[unit.seq] || op.abandoned[unit.seq]) return {};
+  if (op.confirmed[unit.seq] || op.abandoned[unit.seq]) return;
   // Late confirmations: withhold the key; the in-flight HTLC will be
   // failed by its timeout instead of settled.
-  if (now > op.request.deadline) return {};
+  if (now > op.request.deadline) return;
   op.confirmed[unit.seq] = 1;
   op.confirmed_amount += op.units[unit.seq].amount;
   ++op.confirmed_count;
@@ -95,7 +95,6 @@ std::vector<KeyRelease> Transport::confirm_unit(TxUnitId unit, TimePoint now,
     ++clean_confirms_;
   }
 
-  std::vector<KeyRelease> releases;
   if (op.request.kind == PaymentKind::kNonAtomic) {
     if (!op.key_released[unit.seq]) {
       op.key_released[unit.seq] = 1;
@@ -111,7 +110,6 @@ std::vector<KeyRelease> Transport::confirm_unit(TxUnitId unit, TimePoint now,
       releases.push_back({TxUnitId{unit.payment, seq}, op.keys[seq]});
     }
   }
-  return releases;
 }
 
 void Transport::abandon_unit(TxUnitId unit) {

@@ -53,15 +53,16 @@ class Transport {
                                            const PaymentRequest& req,
                                            Amount mtu);
 
-  /// Receiver confirmed `unit` at time `now`. Returns the keys the sender
-  /// releases as a consequence (see file comment). Confirmations after
-  /// the payment deadline release nothing (§4.1: the sender "can withhold
-  /// the key for in-flight transactions that arrive after the deadline").
+  /// Receiver confirmed `unit` at time `now`. Appends the keys the
+  /// sender releases as a consequence (see file comment) to `releases`.
+  /// Confirmations after the deadline release nothing (§4.1: the sender
+  /// "can withhold the key for in-flight transactions that arrive after
+  /// the deadline").
   /// `marked` carries the unit's one-bit congestion mark (routers stamp
   /// it en route); the transport tallies marked vs clean confirmations
   /// so end hosts can drive per-path rate control off the signal.
-  std::vector<KeyRelease> confirm_unit(TxUnitId unit, TimePoint now,
-                                       bool marked = false);
+  void confirm_unit(TxUnitId unit, TimePoint now, bool marked,
+                    std::vector<KeyRelease>& releases);
 
   /// Registered confirmations that carried / did not carry the
   /// congestion mark (duplicates and post-deadline arrivals excluded).

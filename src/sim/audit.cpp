@@ -1,6 +1,7 @@
 #include "sim/audit.hpp"
 
 #include <sstream>
+#include <vector>
 
 namespace spider::sim {
 
@@ -96,6 +97,36 @@ void InvariantAuditor::run_checks(TimePoint now,
       record(name, std::move(*detail), now, events_processed);
     }
   }
+}
+
+std::optional<std::string> audit_htlc_book(const core::ChannelNetwork& net) {
+  const graph::Graph& g = net.graph();
+  std::vector<core::Amount> held(2 * g.edge_count(), 0);
+  net.htlc_book().for_each([&held](core::SlabHandle, const core::Htlc& h) {
+    held[h.arc] += h.amount;
+  });
+  std::size_t inflight = 0;
+  for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
+    const core::Channel& c = net.channel(e);
+    inflight += c.inflight_count();
+    for (const core::Side side : {core::Side::kA, core::Side::kB}) {
+      const core::Amount booked = held[2 * e + static_cast<unsigned>(side)];
+      if (booked != c.pending(side)) {
+        std::ostringstream os;
+        os << "edge " << e << " side " << static_cast<int>(side)
+           << ": book holds " << booked << ", channel pending "
+           << c.pending(side);
+        return os.str();
+      }
+    }
+  }
+  if (inflight != net.htlc_book().live()) {
+    std::ostringstream os;
+    os << "book has " << net.htlc_book().live()
+       << " live HTLCs, channels count " << inflight << " in flight";
+    return os.str();
+  }
+  return std::nullopt;
 }
 
 std::string InvariantAuditor::summary() const {

@@ -17,8 +17,10 @@
 //    believes is locked in flight matches the channels' pending totals
 //    (catches leaked or double-released HTLC holds).
 //  * monotone time -- the event clock never runs backwards.
-//  * simulator-registered checks -- e.g. the packet simulator's
-//    Router::queued_units running counters vs the actual queue sizes.
+//  * simulator-registered checks -- e.g. the HTLC book (audit_htlc_book,
+//    registered by sim_steps.hpp attach_auditor for both simulators) and
+//    the packet simulator's Router::queued_units running counters vs
+//    the actual queue sizes.
 //
 // Opt-in and observation-only: an auditor is attached through
 // PacketSimConfig/FlowSimConfig::auditor and fires from the EventQueue's
@@ -68,6 +70,13 @@ class AuditFailure : public std::logic_error {
       : std::logic_error(v.to_string()), violation(v) {}
   AuditViolation violation;
 };
+
+/// The network's HTLC book against its channels: the live records,
+/// summed per (edge, side), must equal each channel's pending(), and the
+/// live count must equal the channels' in-flight counts. Returns the
+/// first mismatch, or nullopt. Read-only.
+[[nodiscard]] std::optional<std::string> audit_htlc_book(
+    const core::ChannelNetwork& net);
 
 class InvariantAuditor {
  public:

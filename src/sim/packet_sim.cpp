@@ -455,9 +455,8 @@ void PacketSimulator::advance(core::SlabHandle h, TimePoint queue_delay) {
     fail_unit(st->unit.id);
     return;
   }
-  auto htlc = net_.channel(graph::edge_of(arc))
-                  .offer_htlc(core::ChannelNetwork::arc_side(arc),
-                              st->unit.amount, st->unit.lock);
+  const std::optional<core::HtlcId> htlc =
+      net_.offer_htlc(arc, st->unit.amount, st->unit.lock);
   if (!htlc) {
     // Dry channel: queue at this hop's router (paper Fig. 3).
     core::QueuedUnit qu;
@@ -534,12 +533,13 @@ void PacketSimulator::ack_unit(core::SlabHandle h) {
   const UnitState* st = units_.get(h);
   if (st == nullptr) return;  // unit already failed (e.g. expired)
   if (st->marked) ++metrics_.cc_marked_acks;
-  // confirm_unit returns no keys for late confirmations (the sender
+  // confirm_unit releases no keys for late confirmations (the sender
   // withholds them; the unit's locks fail via the expiry sweep) and
   // for atomic payments still missing shares.
-  const auto releases = transports_[st->unit.src]->confirm_unit(
-      st->unit.id, now(), st->marked);
-  for (const core::KeyRelease& kr : releases) {
+  key_releases_.clear();
+  transports_[st->unit.src]->confirm_unit(st->unit.id, now(), st->marked,
+                                          key_releases_);
+  for (const core::KeyRelease& kr : key_releases_) {
     settle_unit(kr.unit, kr.key);
   }
 }
@@ -551,8 +551,7 @@ void PacketSimulator::settle_unit(core::TxUnitId uid, core::Preimage key) {
   // Settle every hop; funds become usable at each receiving side, so
   // service the queues that were waiting for them.
   for (std::size_t i = 0; i < st->htlcs.size(); ++i) {
-    const graph::ArcId arc = st->path->arcs[i];
-    if (!net_.channel(graph::edge_of(arc)).settle_htlc(st->htlcs[i], key)) {
+    if (!net_.settle_htlc(st->path->arcs[i], st->htlcs[i], key)) {
       throw std::logic_error("packet_sim: settle failed (bad key?)");
     }
   }
@@ -582,8 +581,7 @@ void PacketSimulator::fail_unit(core::TxUnitId uid, bool retryable) {
   UnitState* st = units_.get(h);
   if (st == nullptr) return;
   for (std::size_t i = 0; i < st->htlcs.size(); ++i) {
-    const graph::ArcId arc = st->path->arcs[i];
-    net_.channel(graph::edge_of(arc)).fail_htlc(st->htlcs[i]);
+    net_.fail_htlc(st->path->arcs[i], st->htlcs[i]);
   }
   held_amount_ -=
       st->unit.amount * static_cast<core::Amount>(st->htlcs.size());
@@ -636,7 +634,9 @@ void PacketSimulator::sweep_expired() {
     for (core::NodeId v = 0; v < graph_.node_count(); ++v) {
       core::Router& r = routers_[v];
       if (r.queued_units() == 0) continue;  // O(1) skip
-      for (const core::QueuedUnit& qu : r.drop_expired(now())) {
+      expired_units_.clear();
+      r.drop_expired(now(), expired_units_);
+      for (const core::QueuedUnit& qu : expired_units_) {
         --total_queued_units_;
         total_queued_amount_ -= qu.amount;
         fail_unit(qu.unit, /*retryable=*/true);
@@ -719,7 +719,7 @@ void PacketSimulator::start_jam(std::size_t index) {
   batch.plan_index = index;
   batch.edge = e;
   if (!faults_->edge_closed(e)) {
-    core::Channel& ch = net_.channel(e);
+    const core::Channel& ch = net_.channel(e);
     for (const core::Side side : {core::Side::kA, core::Side::kB}) {
       const auto lock = static_cast<core::Amount>(
           ev.magnitude * static_cast<double>(ch.balance(side)));
@@ -729,9 +729,12 @@ void PacketSimulator::start_jam(std::size_t index) {
       const core::LockHash hash = core::hash_preimage(
           0x6a616dull ^ (static_cast<core::Preimage>(index) << 1) ^
           static_cast<core::Preimage>(side == core::Side::kB ? 1 : 0));
-      const std::optional<core::HtlcId> h = ch.offer_htlc(side, lock, hash);
+      const graph::ArcId arc = side == core::Side::kA
+                                   ? graph::forward_arc(e)
+                                   : graph::backward_arc(e);
+      const std::optional<core::HtlcId> h = net_.offer_htlc(arc, lock, hash);
       if (!h) continue;
-      batch.holds.emplace_back(*h, lock);
+      batch.holds.push_back({arc, *h, lock});
       held_amount_ += lock;
       metrics_.fault_jam_locked_volume += lock;
     }
@@ -743,10 +746,10 @@ void PacketSimulator::release_jam(std::size_t batch_index) {
   const JamBatch batch = std::move(jam_batches_[batch_index]);
   jam_batches_.erase(jam_batches_.begin() +
                      static_cast<std::ptrdiff_t>(batch_index));
-  core::Channel& ch = net_.channel(batch.edge);
-  for (const auto& [hid, amount] : batch.holds) {
-    ch.fail_htlc(hid);  // abort at deadline: the lock refunds its side
-    held_amount_ -= amount;
+  for (const JamHold& hold : batch.holds) {
+    // Abort at deadline: the lock refunds its side.
+    net_.fail_htlc(hold.arc, hold.id);
+    held_amount_ -= hold.amount;
   }
   // Freed funds can admit waiting units in both directions.
   service_arc(2 * batch.edge);

@@ -437,6 +437,12 @@ class PacketSimulator {
   /// auditor cross-checks it against the channels' pending totals.
   core::Amount held_amount_ = 0;
 
+  /// Reused output buffers of Transport::confirm_unit (ack_unit) and
+  /// Router::drop_expired (sweep_expired). Neither handler runs inside
+  /// the other or itself, so one buffer each suffices.
+  std::vector<core::KeyRelease> key_releases_;
+  std::vector<core::QueuedUnit> expired_units_;
+
   Metrics metrics_;
 
   // --- service mode -------------------------------------------------
@@ -453,10 +459,15 @@ class PacketSimulator {
   /// are scanned linearly (active spell counts are small), and are
   /// erased on release -- erasure is what makes the end-of-spell /
   /// mid-spell-channel-close release exactly-once.
+  struct JamHold {
+    graph::ArcId arc = 0;
+    core::HtlcId id = 0;
+    core::Amount amount = 0;
+  };
   struct JamBatch {
     std::size_t plan_index = 0;
     graph::EdgeId edge = 0;
-    std::vector<std::pair<core::HtlcId, core::Amount>> holds;
+    std::vector<JamHold> holds;
   };
   std::vector<JamBatch> jam_batches_;
 };

@@ -32,6 +32,7 @@ void attach_auditor(InvariantAuditor& auditor,
                     EventQueue& events) {
   auditor.attach_network(net);
   auditor.set_claimed_holds_provider([&held] { return held; });
+  auditor.add_check("htlc-book", [&net] { return audit_htlc_book(net); });
   events.set_post_event_hook(
       [](void* ctx, TimePoint now, std::uint64_t processed) {
         static_cast<InvariantAuditor*>(ctx)->on_event(now, processed);

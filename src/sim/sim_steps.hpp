@@ -33,8 +33,9 @@ void schedule_fault_plan(faults::FaultInjector& faults, const graph::Graph& g,
                          TimePoint end_time, EventQueue& events);
 
 /// Attaches `auditor` to `net`, has it cross-check `held` (the
-/// simulator's own count of value locked in flight) and drives it from
-/// `events`' post-event hook. `held` must outlive the run.
+/// simulator's own count of value locked in flight) and `net`'s HTLC
+/// book (audit_htlc_book), and drives it from `events`' post-event
+/// hook. `held` must outlive the run.
 void attach_auditor(InvariantAuditor& auditor,
                     const core::ChannelNetwork& net, const core::Amount& held,
                     EventQueue& events);

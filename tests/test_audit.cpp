@@ -34,7 +34,7 @@ TEST(InvariantAuditor, DetectsCorruptedChannelBalance) {
   // Corrupt a balance: escrow appears out of nowhere, as an off-by-one
   // in settlement would make it. A legitimate deposit would have gone
   // through note_external_deposit.
-  net.channel(0).deposit(Side::kA, 123);
+  net.deposit(0, Side::kA, 123);
   auditor.run_checks(1.0, 10);
 
   ASSERT_FALSE(auditor.ok());
@@ -52,7 +52,7 @@ TEST(InvariantAuditor, RecordedDepositIsNotAViolation) {
   InvariantAuditor auditor;
   auditor.attach_network(net);
 
-  net.channel(0).deposit(Side::kB, 400);
+  net.deposit(0, Side::kB, 400);
   auditor.note_external_deposit(400);
   auditor.run_checks(1.0, 1);
   EXPECT_TRUE(auditor.ok());
@@ -85,6 +85,23 @@ TEST(InvariantAuditor, DetectsLeakedHtlcHold) {
   EXPECT_EQ(auditor.violations().front().check, "htlc-holds");
 
   net.settle_route(*rl, kKey);
+}
+
+TEST(InvariantAuditor, HtlcBookMatchesPendingWithHoldsInFlight) {
+  const graph::Graph g = graph::topology::make_line(3);
+  ChannelNetwork net(g, std::vector<Amount>(2, 1000));
+  EXPECT_EQ(audit_htlc_book(net), std::nullopt);
+  graph::Path p{0, {graph::forward_arc(0), graph::forward_arc(1)}};
+  const auto rl = net.lock_route(p, 100, kLock);
+  ASSERT_TRUE(rl.has_value());
+  const auto back = net.offer_htlc(graph::backward_arc(1), 40, kLock);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(audit_htlc_book(net), std::nullopt);
+  ASSERT_TRUE(net.settle_route(*rl, kKey));
+  EXPECT_EQ(audit_htlc_book(net), std::nullopt);
+  ASSERT_TRUE(net.fail_htlc(graph::backward_arc(1), *back));
+  EXPECT_EQ(audit_htlc_book(net), std::nullopt);
+  EXPECT_EQ(net.htlc_book().live(), 0u);
 }
 
 TEST(InvariantAuditor, DetectsBackwardsTime) {

@@ -4,6 +4,11 @@
 
 #include <limits>
 #include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "core/network.hpp"
+#include "graph/topology.hpp"
 
 namespace spider::core {
 namespace {
@@ -50,9 +55,24 @@ TEST(Channel, RejectsBadDeposits) {
   EXPECT_THROW(Channel(0, 0), std::invalid_argument);
 }
 
+// HTLCs live in the network's book, so each HTLC case runs on a
+// one-edge ChannelNetwork: side A offers along arc(kA), B along arc(kB).
+struct OneChannel {
+  OneChannel(Amount a, Amount b)
+      : net(g, std::vector<std::pair<Amount, Amount>>{{a, b}}) {}
+  graph::Graph g = graph::topology::make_line(2);
+  ChannelNetwork net;
+};
+
+constexpr ArcId arc(Side s) {
+  return s == Side::kA ? graph::forward_arc(0) : graph::backward_arc(0);
+}
+
 TEST(Channel, OfferMovesFundsToPending) {
-  Channel c(1000, 1000);
-  const auto id = c.offer_htlc(Side::kA, 400, kLock);
+  OneChannel one(1000, 1000);
+  ChannelNetwork& net = one.net;
+  const Channel& c = net.channel(0);
+  const auto id = net.offer_htlc(arc(Side::kA), 400, kLock);
   ASSERT_TRUE(id.has_value());
   EXPECT_EQ(c.balance(Side::kA), 600);
   EXPECT_EQ(c.pending(Side::kA), 400);
@@ -62,17 +82,21 @@ TEST(Channel, OfferMovesFundsToPending) {
 }
 
 TEST(Channel, OfferFailsOnInsufficientBalance) {
-  Channel c(100, 100);
-  EXPECT_FALSE(c.offer_htlc(Side::kA, 101, kLock).has_value());
-  EXPECT_FALSE(c.offer_htlc(Side::kA, 0, kLock).has_value());
-  EXPECT_FALSE(c.offer_htlc(Side::kA, -5, kLock).has_value());
+  OneChannel one(100, 100);
+  ChannelNetwork& net = one.net;
+  const Channel& c = net.channel(0);
+  EXPECT_FALSE(net.offer_htlc(arc(Side::kA), 101, kLock).has_value());
+  EXPECT_FALSE(net.offer_htlc(arc(Side::kA), 0, kLock).has_value());
+  EXPECT_FALSE(net.offer_htlc(arc(Side::kA), -5, kLock).has_value());
   EXPECT_EQ(c.balance(Side::kA), 100);
 }
 
 TEST(Channel, SettleMovesFundsAcross) {
-  Channel c(1000, 1000);
-  const auto id = c.offer_htlc(Side::kA, 400, kLock);
-  ASSERT_TRUE(c.settle_htlc(*id, 42));
+  OneChannel one(1000, 1000);
+  ChannelNetwork& net = one.net;
+  const Channel& c = net.channel(0);
+  const auto id = net.offer_htlc(arc(Side::kA), 400, kLock);
+  ASSERT_TRUE(net.settle_htlc(arc(Side::kA), *id, 42));
   EXPECT_EQ(c.balance(Side::kA), 600);
   EXPECT_EQ(c.balance(Side::kB), 1400);
   EXPECT_EQ(c.pending(Side::kA), 0);
@@ -81,41 +105,48 @@ TEST(Channel, SettleMovesFundsAcross) {
 }
 
 TEST(Channel, SettleWithWrongKeyRejected) {
-  Channel c(1000, 1000);
-  const auto id = c.offer_htlc(Side::kA, 400, kLock);
-  EXPECT_FALSE(c.settle_htlc(*id, 43));
+  OneChannel one(1000, 1000);
+  ChannelNetwork& net = one.net;
+  const Channel& c = net.channel(0);
+  const auto id = net.offer_htlc(arc(Side::kA), 400, kLock);
+  EXPECT_FALSE(net.settle_htlc(arc(Side::kA), *id, 43));
   // Funds stay pending.
   EXPECT_EQ(c.pending(Side::kA), 400);
   EXPECT_TRUE(c.conserves_funds());
 }
 
 TEST(Channel, FailReturnsFunds) {
-  Channel c(1000, 1000);
-  const auto id = c.offer_htlc(Side::kB, 250, kLock);
-  ASSERT_TRUE(c.fail_htlc(*id));
+  OneChannel one(1000, 1000);
+  ChannelNetwork& net = one.net;
+  const Channel& c = net.channel(0);
+  const auto id = net.offer_htlc(arc(Side::kB), 250, kLock);
+  ASSERT_TRUE(net.fail_htlc(arc(Side::kB), *id));
   EXPECT_EQ(c.balance(Side::kB), 1000);
   EXPECT_EQ(c.pending(Side::kB), 0);
   EXPECT_TRUE(c.conserves_funds());
 }
 
 TEST(Channel, DoubleSettleAndUnknownIdsRejected) {
-  Channel c(1000, 1000);
-  const auto id = c.offer_htlc(Side::kA, 100, kLock);
-  EXPECT_TRUE(c.settle_htlc(*id, 42));
-  EXPECT_FALSE(c.settle_htlc(*id, 42));
-  EXPECT_FALSE(c.fail_htlc(*id));
-  EXPECT_FALSE(c.fail_htlc(999));
+  OneChannel one(1000, 1000);
+  ChannelNetwork& net = one.net;
+  const auto id = net.offer_htlc(arc(Side::kA), 100, kLock);
+  EXPECT_TRUE(net.settle_htlc(arc(Side::kA), *id, 42));
+  EXPECT_FALSE(net.settle_htlc(arc(Side::kA), *id, 42));
+  EXPECT_FALSE(net.fail_htlc(arc(Side::kA), *id));
+  EXPECT_FALSE(net.fail_htlc(arc(Side::kA), 999));
 }
 
 TEST(Channel, ConcurrentHtlcsBothDirections) {
-  Channel c(500, 500);
-  const auto a1 = c.offer_htlc(Side::kA, 300, kLock);
-  const auto b1 = c.offer_htlc(Side::kB, 200, kLock);
+  OneChannel one(500, 500);
+  ChannelNetwork& net = one.net;
+  const Channel& c = net.channel(0);
+  const auto a1 = net.offer_htlc(arc(Side::kA), 300, kLock);
+  const auto b1 = net.offer_htlc(arc(Side::kB), 200, kLock);
   ASSERT_TRUE(a1 && b1);
   EXPECT_EQ(c.inflight_count(), 2u);
   EXPECT_TRUE(c.conserves_funds());
-  EXPECT_TRUE(c.settle_htlc(*a1, 42));
-  EXPECT_TRUE(c.fail_htlc(*b1));
+  EXPECT_TRUE(net.settle_htlc(arc(Side::kA), *a1, 42));
+  EXPECT_TRUE(net.fail_htlc(arc(Side::kB), *b1));
   EXPECT_EQ(c.balance(Side::kA), 200);
   EXPECT_EQ(c.balance(Side::kB), 800);
   EXPECT_TRUE(c.conserves_funds());
@@ -133,13 +164,14 @@ TEST(Channel, DepositIncreasesEscrow) {
 
 TEST(Channel, BalanceDrainsToZeroThenBlocks) {
   // The unidirectional-depletion phenomenon the paper's routing fights.
-  Channel c(300, 0);
-  const auto id1 = c.offer_htlc(Side::kA, 300, kLock);
+  OneChannel one(300, 0);
+  ChannelNetwork& net = one.net;
+  const auto id1 = net.offer_htlc(arc(Side::kA), 300, kLock);
   ASSERT_TRUE(id1);
-  EXPECT_TRUE(c.settle_htlc(*id1, 42));
+  EXPECT_TRUE(net.settle_htlc(arc(Side::kA), *id1, 42));
   // A is now empty; only B can send.
-  EXPECT_FALSE(c.offer_htlc(Side::kA, 1, kLock).has_value());
-  EXPECT_TRUE(c.offer_htlc(Side::kB, 300, kLock).has_value());
+  EXPECT_FALSE(net.offer_htlc(arc(Side::kA), 1, kLock).has_value());
+  EXPECT_TRUE(net.offer_htlc(arc(Side::kB), 300, kLock).has_value());
 }
 
 }  // namespace

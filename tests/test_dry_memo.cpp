@@ -117,8 +117,8 @@ enum class Raise {
   kFail,            // fail_route of the draining lock
   kFailWithFees,    // fail_route of a fee-carrying lock
   kDeposit,         // ChannelNetwork::deposit
-  kChannelDeposit,  // Channel::deposit through mutable channel()
-  kChannelFail,     // Channel::fail_htlc through mutable channel()
+  kChannelSettle,   // ChannelNetwork::settle_htlc, one hop at a time
+  kChannelFail,     // ChannelNetwork::fail_htlc, one hop at a time
   kSnapshot,        // a stale snapshot taken while the locks pend
 };
 
@@ -166,15 +166,21 @@ TEST_P(DryMemoRaise, MemoisedSchemeMatchesFreshInstance) {
       net.deposit(0, core::Side::kA, from_units(5));
       net.deposit(1, core::Side::kA, from_units(5));
       break;
-    case Raise::kChannelDeposit:
-      net.channel(0).deposit(core::Side::kA, from_units(5));
-      net.channel(1).deposit(core::Side::kA, from_units(5));
+    case Raise::kChannelSettle: {
+      // Settle a reverse payment hop by hop: each hop raises the forward
+      // side of its edge, so the pair is live only after both.
+      const auto rev = net.lock_route(back, from_units(20), kLock);
+      ASSERT_TRUE(rev.has_value());
+      ASSERT_TRUE(net.settle_htlc(back.arcs[0], rev->htlcs[0], kKey));
+      EXPECT_EQ(fx.check(net, 0, 2, from_units(10)), kKindCount);
+      ASSERT_TRUE(net.settle_htlc(back.arcs[1], rev->htlcs[1], kKey));
       break;
+    }
     case Raise::kChannelFail:
       // Fail the hops one at a time: the pair is live only after both.
-      ASSERT_TRUE(net.channel(0).fail_htlc(drain->htlcs[0]));
+      ASSERT_TRUE(net.fail_htlc(fwd.arcs[0], drain->htlcs[0]));
       EXPECT_EQ(fx.check(net, 0, 2, from_units(10)), kKindCount);
-      ASSERT_TRUE(net.channel(1).fail_htlc(drain->htlcs[1]));
+      ASSERT_TRUE(net.fail_htlc(fwd.arcs[1], drain->htlcs[1]));
       break;
     case Raise::kSnapshot: {
       // The snapshot counts the pending holds as spendable, so the pair
@@ -196,7 +202,7 @@ TEST_P(DryMemoRaise, MemoisedSchemeMatchesFreshInstance) {
 INSTANTIATE_TEST_SUITE_P(
     EveryMutationPath, DryMemoRaise,
     ::testing::Values(Raise::kSettle, Raise::kFail, Raise::kFailWithFees,
-                      Raise::kDeposit, Raise::kChannelDeposit,
+                      Raise::kDeposit, Raise::kChannelSettle,
                       Raise::kChannelFail, Raise::kSnapshot));
 
 TEST(DryMemo, RandomMutationsMatchFreshInstances) {
@@ -272,15 +278,11 @@ TEST(DryMemo, RandomMutationsMatchFreshInstances) {
           held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
         }
         break;
-      case 9: {  // on-chain deposit, through the network or the channel
+      case 9: {  // on-chain deposit
         const auto e = static_cast<graph::EdgeId>(pick(g.edge_count()));
         const core::Side side = pick(2) == 0 ? core::Side::kA : core::Side::kB;
         const Amount amt = from_units(1 + static_cast<double>(pick(5)));
-        if (pick(2) == 0) {
-          net.deposit(e, side, amt);
-        } else {
-          net.channel(e).deposit(side, amt);
-        }
+        net.deposit(e, side, amt);
         break;
       }
       case 10:  // a staleness spike starts or ends

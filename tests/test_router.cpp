@@ -67,7 +67,8 @@ TEST(Router, DropExpiredSpansAllQueues) {
   r.push(0, unit(1, 10, 1.0, /*deadline=*/5.0));
   r.push(2, unit(2, 20, 1.0, /*deadline=*/3.0));
   r.push(2, unit(3, 30, 1.0, /*deadline=*/50.0));
-  const auto expired = r.drop_expired(10.0);
+  std::vector<QueuedUnit> expired;
+  r.drop_expired(10.0, expired);
   ASSERT_EQ(expired.size(), 2u);
   EXPECT_EQ(r.queued_units(), 1u);
   EXPECT_EQ(r.queued_amount(), 30);

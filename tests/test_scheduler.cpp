@@ -101,7 +101,8 @@ TEST(UnitQueue, DropExpired) {
   q.push(make_unit(1, 0, 10, 1, 1.0, 5.0));
   q.push(make_unit(2, 0, 10, 1, 1.0, 15.0));
   q.push(make_unit(3, 0, 10, 1, 1.0, 2.0));
-  const auto expired = q.drop_expired(10.0);
+  std::vector<QueuedUnit> expired;
+  q.drop_expired(10.0, expired);
   ASSERT_EQ(expired.size(), 2u);
   EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.pop()->unit.payment, 2u);

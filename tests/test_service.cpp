@@ -539,7 +539,8 @@ TEST(TransportRetirement, RecyclesSlotsAndForgetsIds) {
   ASSERT_EQ(units.size(), 1u);
   EXPECT_EQ(tp.live_payments(), 1u);
   EXPECT_FALSE(tp.resolved(0));
-  (void)tp.confirm_unit(core::TxUnitId{0, 0}, 1.0);
+  std::vector<core::KeyRelease> releases;
+  tp.confirm_unit(core::TxUnitId{0, 0}, 1.0, /*marked=*/false, releases);
   EXPECT_TRUE(tp.resolved(0));
   tp.retire_payment(0);
   EXPECT_EQ(tp.live_payments(), 0u);

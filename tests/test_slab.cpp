@@ -1,6 +1,7 @@
 #include "core/slab.hpp"
 
-#include "core/channel.hpp"
+#include "core/network.hpp"
+#include "graph/topology.hpp"
 
 #include <gtest/gtest.h>
 
@@ -152,27 +153,34 @@ TEST(Slab, ForEachVisitsAscendingIndexAfterMixedAcquireRelease) {
 }
 
 TEST(Slab, ChannelHtlcIdSequenceGolden) {
-  // HtlcId == packed (generation << 32 | index): pins that the chunk
-  // layout does not leak into ids (and so into any checksum).
-  Channel c(1000000, 1000000);
+  // HtlcId == packed (generation << 32 | index) into the network's HTLC
+  // book: pins that the chunk layout does not leak into ids (and so into
+  // any checksum). One book on one edge gives the sequence a
+  // per-channel slab gave.
+  const graph::Graph g = graph::topology::make_line(2);
+  ChannelNetwork net(g, std::vector<Amount>{2000000});
+  const ArcId a = graph::forward_arc(0);
+  const ArcId b = graph::backward_arc(0);
   std::vector<HtlcId> ids;
   for (int i = 0; i < 18; ++i) {
-    ids.push_back(*c.offer_htlc(Side::kA, 10, hash_preimage(i)));
+    ids.push_back(*net.offer_htlc(a, 10, hash_preimage(i)));
   }
-  ASSERT_TRUE(c.settle_htlc(ids[15], 15));
-  ASSERT_TRUE(c.fail_htlc(ids[16]));
-  ASSERT_TRUE(c.settle_htlc(ids[2], 2));
-  ids.push_back(*c.offer_htlc(Side::kB, 10, hash_preimage(100)));
-  ids.push_back(*c.offer_htlc(Side::kB, 10, hash_preimage(101)));
-  ids.push_back(*c.offer_htlc(Side::kB, 10, hash_preimage(102)));
-  ids.push_back(*c.offer_htlc(Side::kB, 10, hash_preimage(103)));
+  ASSERT_TRUE(net.settle_htlc(a, ids[15], 15));
+  ASSERT_TRUE(net.fail_htlc(a, ids[16]));
+  ASSERT_TRUE(net.settle_htlc(a, ids[2], 2));
+  ids.push_back(*net.offer_htlc(b, 10, hash_preimage(100)));
+  ids.push_back(*net.offer_htlc(b, 10, hash_preimage(101)));
+  ids.push_back(*net.offer_htlc(b, 10, hash_preimage(102)));
+  ids.push_back(*net.offer_htlc(b, 10, hash_preimage(103)));
   const std::vector<HtlcId> tail(ids.begin() + 14, ids.end());
   const std::vector<HtlcId> golden = {
       0x1'0000000Eull, 0x1'0000000Full, 0x1'00000010ull, 0x1'00000011ull,
       0x2'00000002ull, 0x2'00000010ull, 0x2'0000000Full, 0x1'00000012ull};
   EXPECT_EQ(tail, golden);
   EXPECT_EQ(ids[0], 0x1'00000000ull);
+  const Channel& c = net.channel(0);
   EXPECT_EQ(c.inflight_count(), 19u);
+  EXPECT_EQ(net.htlc_book().live(), 19u);
   EXPECT_TRUE(c.conserves_funds());
 }
 

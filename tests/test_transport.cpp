@@ -17,6 +17,13 @@ PaymentRequest make_request(Amount amount, PaymentKind kind,
   return req;
 }
 
+/// The keys one confirmation releases, collected in a fresh buffer.
+std::vector<KeyRelease> confirm(Transport& t, TxUnitId unit, TimePoint now) {
+  std::vector<KeyRelease> releases;
+  t.confirm_unit(unit, now, /*marked=*/false, releases);
+  return releases;
+}
+
 TEST(Transport, MtuSplitting) {
   Transport t(0, 1);
   const auto units = t.begin_payment(
@@ -75,7 +82,7 @@ TEST(Transport, NonAtomicConfirmReleasesImmediately) {
   Transport t(0, 1);
   const auto units =
       t.begin_payment(1, make_request(2000, PaymentKind::kNonAtomic), 1000);
-  const auto rel = t.confirm_unit(units[0].id, 1.0);
+  const auto rel = confirm(t, units[0].id, 1.0);
   ASSERT_EQ(rel.size(), 1u);
   EXPECT_EQ(rel[0].unit, units[0].id);
   EXPECT_TRUE(unlocks(rel[0].key, units[0].lock));
@@ -83,15 +90,15 @@ TEST(Transport, NonAtomicConfirmReleasesImmediately) {
   EXPECT_EQ(t.remaining(1), 1000);
   EXPECT_EQ(t.status(1, 1.0), PaymentStatus::kPending);
   // Duplicate confirmation releases nothing more.
-  EXPECT_TRUE(t.confirm_unit(units[0].id, 1.5).empty());
+  EXPECT_TRUE(confirm(t, units[0].id, 1.5).empty());
 }
 
 TEST(Transport, NonAtomicCompletion) {
   Transport t(0, 1);
   const auto units =
       t.begin_payment(1, make_request(2000, PaymentKind::kNonAtomic), 1000);
-  (void)t.confirm_unit(units[0].id, 1.0);
-  (void)t.confirm_unit(units[1].id, 2.0);
+  (void)confirm(t, units[0].id, 1.0);
+  (void)confirm(t, units[1].id, 2.0);
   EXPECT_EQ(t.status(1, 2.0), PaymentStatus::kSucceeded);
   EXPECT_EQ(t.remaining(1), 0);
 }
@@ -100,9 +107,9 @@ TEST(Transport, LateConfirmationWithheld) {
   Transport t(0, 1);
   const auto units = t.begin_payment(
       1, make_request(2000, PaymentKind::kNonAtomic, /*deadline=*/5.0), 1000);
-  (void)t.confirm_unit(units[0].id, 1.0);
+  (void)confirm(t, units[0].id, 1.0);
   // §4.1: keys withheld for units confirmed after the deadline.
-  EXPECT_TRUE(t.confirm_unit(units[1].id, 6.0).empty());
+  EXPECT_TRUE(confirm(t, units[1].id, 6.0).empty());
   EXPECT_EQ(t.delivered(1), 1000);
   EXPECT_EQ(t.status(1, 6.0), PaymentStatus::kPartial);
 }
@@ -119,12 +126,12 @@ TEST(Transport, AtomicReleasesOnlyWhenAllConfirmed) {
   const auto units =
       t.begin_payment(1, make_request(3000, PaymentKind::kAtomic), 1000);
   ASSERT_EQ(units.size(), 3u);
-  EXPECT_TRUE(t.confirm_unit(units[0].id, 1.0).empty());
-  EXPECT_TRUE(t.confirm_unit(units[1].id, 1.1).empty());
+  EXPECT_TRUE(confirm(t, units[0].id, 1.0).empty());
+  EXPECT_TRUE(confirm(t, units[1].id, 1.1).empty());
   // Receiver can unlock nothing yet.
   EXPECT_EQ(t.delivered(1), 0);
   EXPECT_EQ(t.status(1, 1.1), PaymentStatus::kPending);
-  const auto rel = t.confirm_unit(units[2].id, 1.2);
+  const auto rel = confirm(t, units[2].id, 1.2);
   ASSERT_EQ(rel.size(), 3u);  // all keys at once
   for (std::size_t i = 0; i < rel.size(); ++i) {
     EXPECT_TRUE(unlocks(rel[i].key, units[rel[i].unit.seq].lock));
@@ -137,7 +144,7 @@ TEST(Transport, AtomicPartialConfirmationFailsAtDeadline) {
   Transport t(0, 1);
   const auto units = t.begin_payment(
       1, make_request(3000, PaymentKind::kAtomic, /*deadline=*/5.0), 1000);
-  (void)t.confirm_unit(units[0].id, 1.0);
+  (void)confirm(t, units[0].id, 1.0);
   EXPECT_EQ(t.status(1, 6.0), PaymentStatus::kFailed);
   EXPECT_EQ(t.delivered(1), 0);
 }
@@ -147,7 +154,7 @@ TEST(Transport, AbandonedUnitNeverConfirms) {
   const auto units =
       t.begin_payment(1, make_request(2000, PaymentKind::kNonAtomic), 1000);
   t.abandon_unit(units[1].id);
-  EXPECT_TRUE(t.confirm_unit(units[1].id, 1.0).empty());
+  EXPECT_TRUE(confirm(t, units[1].id, 1.0).empty());
   EXPECT_EQ(t.delivered(1), 0);
   // Abandoning an unknown unit is a no-op.
   t.abandon_unit(TxUnitId{42, 0});
@@ -168,9 +175,9 @@ TEST(Transport, LargePaymentIdsCostNoMemory) {
   EXPECT_EQ(a[1].id, (TxUnitId{huge, 1}));
   EXPECT_EQ(t.live_payments(), 2u);
 
-  EXPECT_EQ(t.confirm_unit(a[0].id, 1.0).size(), 1u);
-  EXPECT_EQ(t.confirm_unit(a[1].id, 1.0).size(), 1u);
-  EXPECT_EQ(t.confirm_unit(b[0].id, 1.0).size(), 1u);
+  EXPECT_EQ(confirm(t, a[0].id, 1.0).size(), 1u);
+  EXPECT_EQ(confirm(t, a[1].id, 1.0).size(), 1u);
+  EXPECT_EQ(confirm(t, b[0].id, 1.0).size(), 1u);
   EXPECT_EQ(t.status(huge, 2.0), PaymentStatus::kSucceeded);
   EXPECT_EQ(t.status(big, 2.0), PaymentStatus::kSucceeded);
   EXPECT_EQ(t.delivered(big), 1000);
